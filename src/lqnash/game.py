@@ -115,6 +115,24 @@ def exact_game(norm: NormalizedGame) -> NormalizedGame:
     )
 
 
+def float_game(norm: NormalizedGame) -> NormalizedGame:
+    """The same game with every parameter rounded once to a double.
+
+    Float code run on this image does plain float arithmetic; run on a
+    Fraction game, each mixed operation would take the slow Fraction path.
+    """
+    return NormalizedGame(
+        a=float(norm.a),
+        q1=float(norm.q1),
+        q2=float(norm.q2),
+        r1=float(norm.r1),
+        r2=float(norm.r2),
+        sign_flipped=norm.sign_flipped,
+        b_scale=(float(norm.b_scale[0]), float(norm.b_scale[1])),
+        x0=float(norm.x0),
+    )
+
+
 def closed_loop(a, k1, k2):
     """Closed-loop coefficient a - k1 - k2 of the canonical dynamics."""
     return a - k1 - k2

@@ -12,7 +12,14 @@ from fractions import Fraction
 import numpy as np
 
 from .exactalg import UniPoly
-from .game import NormalizedGame, best_response, closed_loop, exact_game, residuals
+from .game import (
+    NormalizedGame,
+    best_response,
+    closed_loop,
+    exact_game,
+    float_game,
+    residuals,
+)
 
 GRID_DEFAULT = 512
 NEWTON_MAX_ITER = 50
@@ -52,6 +59,7 @@ def br_iteration(
         raise ValueError("max_iter must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be > 0")
+    norm = float_game(norm)
     x = float(k_start)
     for it in range(1, max_iter + 1):
         nxt = best_response(norm, 1, best_response(norm, 2, x).k_best).k_best
@@ -61,21 +69,13 @@ def br_iteration(
     return BrIterationResult(False, x, best_response(norm, 2, x).k_best, max_iter)
 
 
-def _residual_arrays(norm: NormalizedGame, K1, K2):
-    a = float(norm.a)
-    q1, q2 = float(norm.q1), float(norm.q2)
-    r1, r2 = float(norm.r1), float(norm.r2)
-    B1 = a - K2
-    B2 = a - K1
-    R1 = B1 * r1 * K1**2 + (r1 + q1 - B1**2 * r1) * K1 - B1 * q1
-    R2 = B2 * r2 * K2**2 + (r2 + q2 - B2**2 * r2) * K2 - B2 * q2
-    return R1, R2
+def _residual_scale(fnorm: NormalizedGame) -> float:
+    """Magnitude of the residuals' terms, to make convergence tests scale-free."""
+    return max(1.0, fnorm.q1, fnorm.q2) * max(1.0, fnorm.a) ** 3 * max(1.0, fnorm.r1, fnorm.r2)
 
 
-def _jacobian(norm: NormalizedGame, k1: float, k2: float):
-    a = float(norm.a)
-    q1, q2 = float(norm.q1), float(norm.q2)
-    r1, r2 = float(norm.r1), float(norm.r2)
+def _jacobian(fnorm: NormalizedGame, k1: float, k2: float):
+    a, q1, q2, r1, r2 = fnorm.a, fnorm.q1, fnorm.q2, fnorm.r1, fnorm.r2
     b1 = a - k2
     b2 = a - k1
     j11 = 2 * b1 * r1 * k1 + r1 + q1 - b1 * b1 * r1
@@ -85,27 +85,25 @@ def _jacobian(norm: NormalizedGame, k1: float, k2: float):
     return j11, j12, j21, j22
 
 
-def _newton_polish(norm: NormalizedGame, k1: float, k2: float) -> tuple[float, float] | None:
+def _newton_polish(fnorm: NormalizedGame, k1: float, k2: float) -> tuple[float, float] | None:
     """Damped two-dimensional Newton on the residual pair."""
-    scale = max(1.0, float(norm.q1), float(norm.q2)) * max(1.0, float(norm.a)) ** 3 * max(
-        1.0, float(norm.r1), float(norm.r2)
-    )
-    rho1, rho2 = residuals(norm, k1, k2)
-    norm_prev = math.hypot(float(rho1), float(rho2))
+    scale = _residual_scale(fnorm)
+    rho1, rho2 = residuals(fnorm, k1, k2)
+    norm_prev = math.hypot(rho1, rho2)
     for _ in range(NEWTON_MAX_ITER):
         if norm_prev <= 1e-14 * scale:
             return k1, k2
-        j11, j12, j21, j22 = _jacobian(norm, k1, k2)
+        j11, j12, j21, j22 = _jacobian(fnorm, k1, k2)
         det = j11 * j22 - j12 * j21
         if det == 0 or not math.isfinite(det):
             return None
-        dk1 = (-float(rho1) * j22 + float(rho2) * j12) / det
-        dk2 = (-float(rho2) * j11 + float(rho1) * j21) / det
+        dk1 = (-rho1 * j22 + rho2 * j12) / det
+        dk2 = (-rho2 * j11 + rho1 * j21) / det
         step = 1.0
         while True:
             t1, t2 = k1 + step * dk1, k2 + step * dk2
-            rho1, rho2 = residuals(norm, t1, t2)
-            norm_new = math.hypot(float(rho1), float(rho2))
+            rho1, rho2 = residuals(fnorm, t1, t2)
+            norm_new = math.hypot(rho1, rho2)
             if norm_new < norm_prev or step < 1e-8:
                 break
             step *= 0.5  # damping on residual increase
@@ -120,27 +118,20 @@ def grid_scan(norm: NormalizedGame, n: int = GRID_DEFAULT) -> list[tuple[float, 
     where no equilibrium can sit, so edge-hugging roots are still bracketed),
     polishes every flagged cell with damped Newton, deduplicates, and keeps
     stabilizing pairs.  Output is deterministic, ordered by ascending k2
-    then k1.
+    then k1.  All of it runs on the game rounded once to doubles.
     """
     if n < 16:
         raise ValueError("grid resolution must be at least 16")
-    a = float(norm.a)
+    fnorm = float_game(norm)
+    a = fnorm.a
     xs = a * np.arange(0, n + 1) / n
-    K1, K2 = np.meshgrid(xs, xs, indexing="ij")
-    R1, R2 = _residual_arrays(norm, K1, K2)
-
-    def cell_flags(R):
-        corners = (R[:-1, :-1], R[1:, :-1], R[:-1, 1:], R[1:, 1:])
-        mx = np.maximum.reduce(corners)
-        mn = np.minimum.reduce(corners)
-        return (mx >= 0) & (mn <= 0)
-
-    flagged = np.argwhere(cell_flags(R1) & cell_flags(R2))
+    R1, R2 = residuals(fnorm, xs[:, None], xs[None, :])
+    flagged = np.argwhere(_straddles_zero(R1) & _straddles_zero(R2))
     candidates: list[tuple[float, float]] = []
     for i, j in flagged:
         c1 = 0.5 * (xs[i] + xs[i + 1])
         c2 = 0.5 * (xs[j] + xs[j + 1])
-        polished = _newton_polish(norm, float(c1), float(c2))
+        polished = _newton_polish(fnorm, float(c1), float(c2))
         if polished is None:
             continue
         k1, k2 = polished
@@ -149,15 +140,22 @@ def grid_scan(norm: NormalizedGame, n: int = GRID_DEFAULT) -> list[tuple[float, 
         if abs(closed_loop(a, k1, k2)) >= 1.0:
             continue
         candidates.append((k1, k2))
-    return _dedup(norm, candidates)
+    return _dedup(fnorm, candidates)
 
 
-def _residual_norm(norm: NormalizedGame, k1: float, k2: float) -> float:
-    rho1, rho2 = residuals(norm, k1, k2)
-    return math.hypot(float(rho1), float(rho2))
+def _straddles_zero(R):
+    """Cells of the node grid R whose four corners are not all > 0 or all < 0."""
+    pos, neg = R > 0, R < 0
+    pos = pos[:-1] & pos[1:]
+    neg = neg[:-1] & neg[1:]
+    return ~((pos[:, :-1] & pos[:, 1:]) | (neg[:, :-1] & neg[:, 1:]))
 
 
-def _dedup(norm: NormalizedGame, candidates: list[tuple[float, float]]) -> list[tuple[float, float]]:
+def _residual_norm(fnorm: NormalizedGame, k1: float, k2: float) -> float:
+    return math.hypot(*residuals(fnorm, k1, k2))
+
+
+def _dedup(fnorm: NormalizedGame, candidates: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Collapse duplicates, including clusters spread along flat valleys.
 
     At a multiple root the residual surface is flat to second or third order,
@@ -165,10 +163,8 @@ def _dedup(norm: NormalizedGame, candidates: list[tuple[float, float]]) -> list[
     are merged when they are close and the residual at their midpoint is as
     small as at a converged point, keeping the better of the two.
     """
-    flat_tol = 1e-10 * max(1.0, float(norm.q1), float(norm.q2)) * max(
-        1.0, float(norm.a)
-    ) ** 3 * max(1.0, float(norm.r1), float(norm.r2))
-    wide = max(1e-4, 1e-4 * float(norm.a))
+    flat_tol = 1e-10 * _residual_scale(fnorm)
+    wide = max(1e-4, 1e-4 * fnorm.a)
     kept: list[tuple[float, float]] = []
     for p in sorted(candidates, key=lambda c: (c[1], c[0])):
         merged = False
@@ -176,9 +172,9 @@ def _dedup(norm: NormalizedGame, candidates: list[tuple[float, float]]) -> list[
             near = abs(p[0] - q[0]) < DEDUP_TOL and abs(p[1] - q[1]) < DEDUP_TOL
             if not near and abs(p[0] - q[0]) < wide and abs(p[1] - q[1]) < wide:
                 mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
-                near = _residual_norm(norm, *mid) <= flat_tol
+                near = _residual_norm(fnorm, *mid) <= flat_tol
             if near:
-                if _residual_norm(norm, *p) < _residual_norm(norm, *q):
+                if _residual_norm(fnorm, *p) < _residual_norm(fnorm, *q):
                     kept[i] = p
                 merged = True
                 break
@@ -253,10 +249,11 @@ def simulate_cost(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    a_cl = float(closed_loop(float(norm.a), k1, k2))
+    norm = float_game(norm)
+    a_cl = float(closed_loop(norm.a, k1, k2))
     x = float(norm.x0 if x0 is None else x0)
-    w1 = float(norm.q1) + float(norm.r1) * k1 * k1
-    w2 = float(norm.q2) + float(norm.r2) * k2 * k2
+    w1 = norm.q1 + norm.r1 * k1 * k1
+    w2 = norm.q2 + norm.r2 * k2 * k2
     total1 = total2 = 0.0
     out = []
     for t in range(horizon + 1):

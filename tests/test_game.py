@@ -14,6 +14,7 @@ from lqnash.game import (
     closed_loop,
     cost,
     denormalize_equilibrium,
+    float_game,
     normalize,
     renormalize_equilibrium,
     residuals,
@@ -83,6 +84,16 @@ class TestNormalize:
                                     r1=Fraction(4), r2=Fraction(1), b1=Fraction(2)))
         assert norm.a == Fraction(3, 2) and isinstance(norm.a, Fraction)
         assert norm.r1 == 1 and isinstance(norm.r1, Fraction)
+
+    def test_float_image_rounds_each_parameter_once(self):
+        norm = normalize(GameParams(a=Fraction(-1, 3), q1=Fraction(2, 7), q2=3,
+                                    r1=Fraction(5, 9), r2=Fraction(1, 10), b1=Fraction(2), x0=2))
+        image = float_game(norm)
+        for name in ("a", "q1", "q2", "r1", "r2", "x0"):
+            value = getattr(image, name)
+            assert type(value) is float and value == float(getattr(norm, name))
+        assert image.b_scale == (2.0, 1.0) and image.sign_flipped
+        assert float_game(image) == image
 
 
 class TestClosedLoopAndCost:

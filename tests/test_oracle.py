@@ -5,11 +5,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lqnash.exactalg import poly_gcd, sturm_count
-from lqnash.game import GameParams, best_response, cost, normalize, residuals
+from lqnash.game import GameParams, best_response, cost, float_game, normalize, residuals
 from lqnash.oracle import (
+    _straddles_zero,
     br_iteration,
     grid_scan,
     h_eval,
@@ -35,6 +37,34 @@ def random_rational_game(rng) -> GameParams:
         return Fraction(rng.randint(lo, hi), rng.randint(1, den))
 
     return GameParams(a=r(1, 40), q1=r(), q2=r(), r1=r(), r2=r())
+
+
+def small_rational_games(seed, count, a_max=20):
+    rng = random.Random(seed)
+    games = []
+    while len(games) < count:
+        params = random_rational_game(rng)
+        if params.a <= a_max:
+            games.append(params)
+    return games
+
+
+# Rational games whose grid scan once took seconds, when Newton polish mixed
+# Fraction parameters with float gains.
+SLOW_RATIONAL_GAMES = [
+    GameParams(a=Fraction(33, 2), q1=Fraction(157), q2=Fraction(120, 11),
+               r1=Fraction(133, 29), r2=Fraction(247, 25)),
+    GameParams(a=Fraction(171, 22), q1=Fraction(207, 4), q2=Fraction(14),
+               r1=Fraction(377, 6), r2=Fraction(129, 70)),
+]
+
+
+def assert_scan_matches_solve(params, n=512):
+    pts = grid_scan(normalize(params), n)
+    expected = sorted((e.k1, e.k2) for e in solve(params).equilibria)
+    assert len(pts) == len(expected), (params, pts, expected)
+    for got, want in zip(sorted(pts), expected):
+        assert abs(got[0] - want[0]) < 1e-6 and abs(got[1] - want[1]) < 1e-6, params
 
 
 class TestHMap:
@@ -92,6 +122,13 @@ class TestBrIteration:
                             float(norm.r1), float(norm.r2)) * max(1.0, float(norm.a)) ** 3
                 assert max(abs(rho1), abs(rho2)) <= 10 * tol * scale
 
+    def test_fraction_input_runs_on_its_float_image(self):
+        for params in small_rational_games(21, 10) + SLOW_RATIONAL_GAMES:
+            norm = normalize(params)
+            a = float(norm.a)
+            for start in (0.0, 0.3 * a, 0.7 * a, a):
+                assert br_iteration(norm, start) == br_iteration(float_game(norm), start)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             br_iteration(normalize(ALL_ONES), 0.0, max_iter=0)
@@ -124,6 +161,27 @@ class TestGridScan:
             assert len(pts) == len(expected)
             for got, want in zip(sorted(pts), expected):
                 assert abs(got[0] - want[0]) < 1e-6 and abs(got[1] - want[1]) < 1e-6
+
+    def test_output_matches_solve_on_small_rational_games(self):
+        for params in small_rational_games(22, 20):
+            assert_scan_matches_solve(params)
+
+    @pytest.mark.parametrize("params", SLOW_RATIONAL_GAMES)
+    def test_output_matches_solve_on_formerly_slow_games(self, params):
+        assert_scan_matches_solve(params)
+
+    def test_fraction_input_runs_on_its_float_image(self):
+        for params in small_rational_games(23, 5) + SLOW_RATIONAL_GAMES:
+            norm = normalize(params)
+            assert grid_scan(norm) == grid_scan(float_game(norm))
+
+    def test_cell_flagged_unless_all_corners_share_a_strict_sign(self):
+        rng = np.random.default_rng(24)
+        R = rng.integers(-1, 2, size=(40, 40)).astype(float)
+        corners = np.stack([R[:-1, :-1], R[1:, :-1], R[:-1, 1:], R[1:, 1:]])
+        expected = ~((corners > 0).all(axis=0) | (corners < 0).all(axis=0))
+        assert np.array_equal(_straddles_zero(R), expected)
+        assert _straddles_zero(np.array([[0.0, 1.0], [1.0, 1.0]]))[0, 0]
 
     def test_ordered_by_k2(self):
         pts = grid_scan(normalize(GameParams(a=3.8, q1=0.5, q2=1, r1=1, r2=1)), 128)
