@@ -1,9 +1,12 @@
 """Sweep configuration, grids, and emission invariants."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+import lqnash.cli as cli
 from lqnash.sweep import (
     AGrid,
     ConfigError,
@@ -101,3 +104,22 @@ class TestEmission:
         assert format_float(1.2290953879362431) == "1.22909538794"
         assert format_float(0.1) == "0.1"
         assert format_float(-5056.0) == "-5056"
+
+
+class TestGolden:
+    """The figure sweep at 50 grid points, byte for byte against committed output."""
+
+    def test_figure_sweep_matches_golden(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        data = root / "tests" / "data"
+        doc = json.loads((root / "configs" / "figure_sweep.json").read_text(encoding="utf-8"))
+        doc["a_grid"]["count"] = 50
+        doc["outputs"] = {
+            "csv": str(tmp_path / "figure_sweep_50.csv"),
+            "json": str(tmp_path / "figure_sweep_50.json"),
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["--quiet", "sweep", str(config)]) == 0
+        for name in ("figure_sweep_50.csv", "figure_sweep_50.json"):
+            assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name
