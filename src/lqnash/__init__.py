@@ -5,73 +5,21 @@ The pipeline builds the elimination quintic with exact rational coefficients,
 classifies the equilibrium count through the sign of its discriminant,
 isolates and refines the certified roots, and cross-validates every answer
 with independent brute-force oracles and a from-scratch Buchberger engine.
+
+The package exports the library surface below; the layers (`exactalg`,
+`game`, `solver`, `oracle`, `groebner`, `sweep`, `cli`) are imported from
+their modules.
 """
 
-from .exactalg import (
-    NEG_INF,
-    POS_INF,
-    BigRational,
-    RootInterval,
-    SturmChain,
-    UniPoly,
-    discriminant,
-    isolate_real_roots,
-    poly_derivative,
-    poly_eval,
-    refine_root,
-    resultant,
-    resultant_subresultant,
-    sturm_chain,
-    sturm_count,
-    sylvester_matrix,
-)
-from .game import (
-    BestResponseEval,
-    CostReport,
-    GameParams,
-    InvalidGameError,
-    NormalizedGame,
-    TrivialGame,
-    best_response,
-    closed_loop,
-    cost,
-    denormalize_equilibrium,
-    normalize,
-    residuals,
-)
-from .groebner import (
-    EliminationError,
-    MultiPoly,
-    buchberger,
-    elimination_polynomial,
-    lex_compare,
-    reduce,
-    s_polynomial,
-)
-from .oracle import (
-    BrIterationResult,
-    SharedComponentError,
-    TrajectorySample,
-    br_iteration,
-    grid_scan,
-    h_eval,
-    resultant_elimination,
-    simulate_cost,
-)
+from .game import GameParams, InvalidGameError, TrivialGame
 from .solver import (
     ConsistencyError,
     DegenerateGameError,
     NashEquilibrium,
     SolveReport,
-    TheoremFlags,
-    build_g,
-    classify_discriminant,
-    find_candidate_roots,
     fold_game,
     pitchfork_game,
-    recover_k1,
     solve,
-    stationarity_system,
 )
 
 __version__ = "0.1.0"

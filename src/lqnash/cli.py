@@ -15,7 +15,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .exactalg import UniPoly, isolate_real_roots, refine_root
+from .exactalg import SturmSequence, UniPoly, isolate_real_roots, refine_root
 from .game import (
     GameParams,
     InvalidGameError,
@@ -223,7 +223,7 @@ def solve_document(params: GameParams, report: SolveReport) -> dict:
         "g_scale": 2,
         "delta": {
             "exact": str(report.delta),
-            "float": sweep_mod._safe_float(report.delta),
+            "float": report.delta_float,
             "sign": report.delta_sign,
         },
         "real_roots_total": report.real_roots_total,
@@ -412,9 +412,10 @@ def cmd_verify(args) -> int:
 
     try:
         res_poly = resultant_elimination(norm)
-        res_roots = []
-        for iv in isolate_real_roots(res_poly):
-            res_roots.append(float(refine_root(res_poly, iv, Fraction(1, 2**50))))
+        res_seq = SturmSequence(res_poly)
+        res_roots = [
+            float(refine_root(res_seq, iv, Fraction(1, 2**50))) for iv in isolate_real_roots(res_seq)
+        ]
         for _, k2 in solved:
             best = min((abs(k2 - r) for r in res_roots), default=math.inf)
             if best > tol:

@@ -2,8 +2,10 @@
 
 Everything in this module is exact: coefficients are `fractions.Fraction`,
 determinants use fraction-free elimination, and real roots are isolated by
-Sturm bisection with integer sign evaluations.  Floating point appears only
-when a caller converts a refined rational approximation at the very end.
+Sturm bisection with integer sign evaluations.  One remainder sequence per
+polynomial (`SturmSequence`) serves root counting, isolation, refinement and
+the discriminant.  Floating point appears only when a caller converts a
+refined rational approximation at the very end.
 """
 
 from __future__ import annotations
@@ -220,7 +222,7 @@ def square_free_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Sylvester matrices, resultants, discriminants
+# Sylvester matrices and resultants (the reference route for discriminants)
 # ---------------------------------------------------------------------------
 
 
@@ -324,103 +326,51 @@ def _prem_int(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def resultant_subresultant(A: UniPoly, B: UniPoly) -> Fraction:
-    """Resultant via the subresultant remainder sequence.
-
-    Independent of the Sylvester-determinant route; the two must agree.
-    """
-    if A.is_zero or B.is_zero:
-        raise ValueError("resultant requires nonzero polynomials")
-    if A.degree < 1 or B.degree < 1:
-        raise ValueError("resultant requires degree >= 1 on both sides")
-    a, ca = _int_primitive(A)
-    b, cb = _int_primitive(B)
-    factor = ca ** B.degree * cb ** A.degree
-    sign = 1
-    if len(a) < len(b):
-        if ((len(a) - 1) * (len(b) - 1)) % 2 == 1:
-            sign = -sign
-        a, b = b, a
-    g, h = 1, 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        r = _prem_int(a, b)
-        if not r:
-            return Fraction(0)
-        a, b = b, [c // (g * h**delta) for c in r]
-        g = a[-1]
-        h = h * g**delta // h**delta if delta else h
-        if len(b) - 1 <= 0:
-            da = len(a) - 1
-            res_prim = b[0] ** da // h ** (da - 1) if da >= 1 else 1
-            return sign * factor * Fraction(res_prim)
-
-
-def discriminant(p: UniPoly) -> Fraction:
-    """(-1)^(n(n-1)/2) * Res(p, p') / lc(p), exact; requires degree >= 2."""
-    n = p.degree
-    if n < 2:
-        raise ValueError("discriminant requires degree >= 2")
-    res = resultant(p, poly_derivative(p))
-    sgn = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sgn * res / p.leading_coefficient
-
-
 # ---------------------------------------------------------------------------
-# Sturm sequences, root counting, isolation, refinement
+# Sturm sequences, discriminants, root counting, isolation, refinement
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SturmChain:
-    """Signed remainder chain p0 = p, p1 = p', p_{i+1} = -rem(p_{i-1}, p_i)."""
-
-    sequence: tuple[UniPoly, ...]
-
-
-def sturm_chain(p: UniPoly) -> SturmChain:
-    if p.is_zero:
-        raise ValueError("sturm_chain requires a nonzero polynomial")
-    seq = [p]
-    if p.degree >= 1:
-        seq.append(poly_derivative(p))
-        while not seq[-1].is_zero and seq[-1].degree > 0:
-            rem = poly_divmod(seq[-2], seq[-1])[1]
-            if rem.is_zero:
-                break
-            seq.append(-rem)
-    return SturmChain(tuple(seq))
-
-
-def _signed_prs(ints: list[int]) -> list[list[int]]:
-    """Primitive integer chain, sign-proportional to the Sturm chain.
+def _signed_prs(ints: list[int]) -> tuple[list[list[int]], int]:
+    """Primitive integer chain, sign-proportional to the Sturm chain, and Res(p, p').
 
     Every element equals a positive rational multiple of the corresponding
     classical chain element, so sign variation counts are unchanged.  For
     square-free input the last element is a nonzero constant; otherwise it is
-    proportional to gcd(p, p').
+    proportional to gcd(p, p') and the resultant is zero.  Requires degree >= 1.
+
+    The resultant is carried along the chain.  With r = a mod b,
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), and the
+    stored element s = lam * r, lam = -|lc(b)|^(delta+1) / content, gives
+    Res(b, r) = Res(b, s) / lam^(deg b).  Res(b, c) = c^(deg b) for a constant c.
     """
-    chain = [ints]
-    if len(ints) - 1 >= 1:
-        d = [i * c for i, c in enumerate(ints)][1:]
-        g = math.gcd(*(abs(c) for c in d))
-        chain.append([c // g for c in d])
-        while len(chain[-1]) - 1 > 0:
-            a, b = chain[-2], chain[-1]
-            delta = (len(a) - 1) - (len(b) - 1)
-            r = _prem_int(a, b)
-            if not r:
-                break
-            # prem multiplies by lc(b)^(delta+1); compensate a negative multiplier
-            if b[-1] < 0 and (delta + 1) % 2 == 1:
-                r = [-c for c in r]
+    n = len(ints) - 1
+    d = [i * c for i, c in enumerate(ints)][1:]
+    g = math.gcd(*d)
+    chain = [ints, [c // g for c in d]]
+    # Res(a, b) = mult * |lc(b)|^e * Res(b, s), one step per stored element
+    steps = []
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        da, db, lb = len(a) - 1, len(b) - 1, b[-1]
+        r = _prem_int(a, b)  # lc(b)^(delta+1) * (a mod b)
+        if not r:
+            return chain, 0
+        # keep the sign of -(a mod b), as in the classical Sturm chain
+        if lb > 0 or (da - db) % 2 == 1:
             r = [-c for c in r]
-            g = math.gcd(*(abs(c) for c in r))
-            chain.append([c // g for c in r])
-    return chain
+        content = math.gcd(*r)
+        chain.append([c // content for c in r])
+        dr = len(r) - 1
+        sign = (-1) ** (db * (da + 1)) * (-1 if lb < 0 and (da - dr) % 2 else 1)
+        steps.append((sign * content**db, abs(lb), (da - dr) - (da - db + 1) * db))
+    # unwind from the constant end; every Res(a, b) is an integer, so each
+    # division is exact and the numbers stay the size of the resultants
+    res = chain[-1][0] ** (len(chain[-2]) - 1)
+    for mult, base, e in reversed(steps):
+        res *= mult
+        res = res * base**e if e >= 0 else res // base**-e
+    return chain, g**n * res  # Res(p, p') = g^n Res(p, p'/g)
 
 
 def _divexact_int(a: list[int], b: list[int]) -> list[int]:
@@ -441,43 +391,50 @@ def _divexact_int(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-class _SturmData:
-    """Square-free integer polynomial plus its signed chain, built once."""
+class SturmSequence:
+    """One polynomial's remainder sequence, built once and passed to every query.
 
-    __slots__ = ("sf_ints", "chain", "square_free")
+    `chain` is the signed primitive chain of the square-free part `sf_ints`
+    (integer coefficients), which counting, isolation and refinement share.
+    `discriminant` is the exact discriminant of `poly`, read off the same
+    remainder sequence of (p, p'); it is zero when `poly` has a multiple root.
+    """
+
+    __slots__ = ("poly", "sf_ints", "chain", "square_free", "discriminant")
 
     def __init__(self, p: UniPoly):
-        ints, _ = _int_primitive(p)
-        chain = _signed_prs(ints)
-        if len(chain[-1]) <= 1:
+        n = p.degree
+        if n < 1:
+            raise ValueError("a Sturm sequence requires degree >= 1")
+        ints, content = _int_primitive(p)
+        chain, res = _signed_prs(ints)
+        sign = -1 if (n * (n - 1) // 2) % 2 else 1
+        self.poly = p
+        # p = content * ints scales the discriminant by content^(2n-2)
+        self.discriminant = sign * content ** (2 * n - 2) * Fraction(res, ints[-1])
+        self.square_free = len(chain[-1]) == 1
+        if self.square_free:
             self.sf_ints = ints
             self.chain = chain
-            self.square_free = True
         else:
             g = chain[-1]
-            c = math.gcd(*(abs(x) for x in g))
+            c = math.gcd(*g)
             sf = _divexact_int(ints, [x // c for x in g])
-            c = math.gcd(*(abs(x) for x in sf))
+            c = math.gcd(*sf)
             self.sf_ints = [x // c for x in sf]
-            self.chain = _signed_prs(self.sf_ints)
-            self.square_free = False
+            self.chain = _signed_prs(self.sf_ints)[0]
+
+    @classmethod
+    def of(cls, p: "UniPoly | SturmSequence") -> "SturmSequence":
+        """`p` itself if it is already a sequence, else a fresh one."""
+        return p if isinstance(p, cls) else cls(p)
 
 
-# Memo for repeated queries against the same polynomial (counting, isolating
-# and refining all hit this).  Entries are immutable once stored and dict
-# operations are atomic under the GIL, so concurrent readers stay safe; a
-# clear() only ever drops cached work.
-_STURM_CACHE: dict[tuple, _SturmData] = {}
-
-
-def _sturm_data(p: UniPoly) -> _SturmData:
-    key = p.coeffs
-    data = _STURM_CACHE.get(key)
-    if data is None:
-        if len(_STURM_CACHE) > 512:
-            _STURM_CACHE.clear()
-        data = _STURM_CACHE[key] = _SturmData(p)
-    return data
+def discriminant(p: UniPoly) -> Fraction:
+    """(-1)^(n(n-1)/2) * Res(p, p') / lc(p), exact; requires degree >= 2."""
+    if p.degree < 2:
+        raise ValueError("discriminant requires degree >= 2")
+    return SturmSequence(p).discriminant
 
 
 def _sign_at(ints: list[int], x: Fraction) -> int:
@@ -523,13 +480,14 @@ def _chain_signs(chain: list[list[int]], x: Endpoint) -> list[int]:
     return out
 
 
-def sturm_count(p: UniPoly, lo: Endpoint, hi: Endpoint) -> int:
+def sturm_count(p: UniPoly | SturmSequence, lo: Endpoint, hi: Endpoint) -> int:
     """Distinct real roots of p in (lo, hi]; endpoints may be POS_INF/NEG_INF."""
-    if p.is_zero:
-        raise ValueError("sturm_count requires a nonzero polynomial")
-    if p.degree < 1:
-        return 0
-    chain = _sturm_data(p).chain
+    if isinstance(p, UniPoly):
+        if p.is_zero:
+            raise ValueError("sturm_count requires a nonzero polynomial")
+        if p.degree < 1:
+            return 0
+    chain = SturmSequence.of(p).chain
     return _variations(_chain_signs(chain, lo)) - _variations(_chain_signs(chain, hi))
 
 
@@ -573,47 +531,38 @@ def _isolate_square_free(
     return out
 
 
-def _with_multiplicities(p: UniPoly, data: _SturmData, raw) -> list[RootInterval]:
-    if data.square_free:
+def _with_multiplicities(seq: SturmSequence, raw) -> list[RootInterval]:
+    if seq.square_free:
         return [RootInterval(lo, hi, 1) for lo, hi in raw]
-    factors = square_free_decomposition(p)
-    out = []
-    for lo, hi in raw:
-        mult = 0
-        for f, m in factors:
-            if f.degree > 0 and sturm_count(f, lo, hi) == 1:
-                mult = m
-                break
-        out.append(RootInterval(lo, hi, mult))
-    return out
+    factors = [(SturmSequence(f), m) for f, m in square_free_decomposition(seq.poly)]
+    return [
+        RootInterval(lo, hi, next((m for f, m in factors if sturm_count(f, lo, hi) == 1), 0))
+        for lo, hi in raw
+    ]
 
 
-def isolate_real_roots(p: UniPoly) -> list[RootInterval]:
+def isolate_real_roots(p: UniPoly | SturmSequence) -> list[RootInterval]:
     """Isolating intervals for every distinct real root, with multiplicities."""
-    if p.is_zero or p.degree < 1:
-        raise ValueError("isolate_real_roots requires degree >= 1")
-    data = _sturm_data(p)
-    bound = Fraction(_cauchy_bound(data.sf_ints))
-    raw = _isolate_square_free(data.chain, -bound, bound)
-    return _with_multiplicities(p, data, raw)
+    seq = SturmSequence.of(p)
+    bound = Fraction(_cauchy_bound(seq.sf_ints))
+    return _with_multiplicities(seq, _isolate_square_free(seq.chain, -bound, bound))
 
 
-def isolate_roots_in_interval(p: UniPoly, lo: Fraction, hi: Fraction) -> list[RootInterval]:
+def isolate_roots_in_interval(
+    p: UniPoly | SturmSequence, lo: Fraction, hi: Fraction
+) -> list[RootInterval]:
     """Isolating intervals restricted to (lo, hi], with multiplicities."""
-    if p.is_zero or p.degree < 1:
-        raise ValueError("isolate_roots_in_interval requires degree >= 1")
-    data = _sturm_data(p)
-    raw = _isolate_square_free(data.chain, Fraction(lo), Fraction(hi))
-    return _with_multiplicities(p, data, raw)
+    seq = SturmSequence.of(p)
+    return _with_multiplicities(seq, _isolate_square_free(seq.chain, Fraction(lo), Fraction(hi)))
 
 
-def refine_root(p: UniPoly, iv: RootInterval, width: Fraction) -> Fraction:
+def refine_root(p: UniPoly | SturmSequence, iv: RootInterval, width: Fraction) -> Fraction:
     """Bisect the isolating interval until its width is at most `width`.
 
     Works on the square-free part so multiple roots refine like simple ones;
     an exact rational root is returned exactly when bisection lands on it.
     """
-    ints = _sturm_data(p).sf_ints
+    ints = SturmSequence.of(p).sf_ints
     lo, hi = Fraction(iv.lo), Fraction(iv.hi)
     width = Fraction(width)
     s_hi = _sign_at(ints, hi)

@@ -16,10 +16,10 @@ from .game import (
     NormalizedGame,
     best_response,
     closed_loop,
-    exact_game,
     float_game,
     residuals,
 )
+from .solver import stationarity_system
 
 GRID_DEFAULT = 512
 NEWTON_MAX_ITER = 50
@@ -188,19 +188,12 @@ def resultant_elimination(norm: NormalizedGame) -> UniPoly:
     """Eliminate k1 from the two residual cubics by a direct resultant.
 
     The result is a univariate polynomial in k2 of degree at most nine whose
-    roots include every equilibrium k2; computed exactly over rationals.
+    roots include every equilibrium k2; computed exactly over rationals from
+    the same stationarity system the Buchberger engine triangularizes.
     """
-    ex = exact_game(norm)
-    a = Fraction(ex.a)
-    q1, q2 = Fraction(ex.q1), Fraction(ex.q2)
-    r1, r2 = Fraction(ex.r1), Fraction(ex.r2)
-    # rho1 and rho2 as quadratics in k1 with UniPoly-in-k2 coefficients
-    a2 = UniPoly([a * r1, -r1])
-    a1 = UniPoly([r1 + q1 - r1 * a * a, 2 * a * r1, -r1])
-    a0 = UniPoly([-q1 * a, q1])
-    b2 = UniPoly([0, -r2])
-    b1 = UniPoly([q2, 2 * a * r2, -r2])
-    b0 = UniPoly([-a * q2, r2 + q2 - a * a * r2, a * r2])
+    p1, p2 = stationarity_system(norm)
+    a2, a1, a0 = _k1_coefficients(p1)
+    b2, b1, b0 = _k1_coefficients(p2)
     zero = UniPoly()
     m = [
         [a2, a1, a0, zero],
@@ -212,6 +205,18 @@ def resultant_elimination(norm: NormalizedGame) -> UniPoly:
     if res.is_zero:
         raise SharedComponentError("residual cubics share a component")
     return res
+
+
+def _k1_coefficients(p) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """The coefficients of k1^2, k1 and 1 in p, each a polynomial in k2.
+
+    Both residuals are quadratic in each gain, so three by three slots hold
+    every term of the MultiPoly (exponent pairs are (k1, k2)).
+    """
+    by_power = [[Fraction(0)] * 3 for _ in range(3)]
+    for (i, j), c in p.terms.items():
+        by_power[i][j] = c
+    return UniPoly(by_power[2]), UniPoly(by_power[1]), UniPoly(by_power[0])
 
 
 def _poly_det(m: list[list[UniPoly]]) -> UniPoly:

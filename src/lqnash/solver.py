@@ -15,12 +15,11 @@ from fractions import Fraction
 from .exactalg import (
     NEG_INF,
     POS_INF,
+    SturmSequence,
     UniPoly,
     isolate_roots_in_interval,
-    poly_derivative,
     poly_eval,
     refine_root,
-    resultant_subresultant,
     sturm_count,
 )
 from .game import (
@@ -106,34 +105,36 @@ def stationarity_system(norm: NormalizedGame):
     return [p1, p2]
 
 
-def classify_discriminant(g2: UniPoly) -> tuple[Fraction, int]:
+def classify_discriminant(g2: UniPoly | SturmSequence) -> tuple[Fraction, int]:
     """Exact discriminant of the unscaled quintic and its sign.
 
-    Rejects degree != 5 loudly: the positivity invariants make a degenerate
-    leading coefficient impossible, so reaching it means corrupted input.
+    `g2` may be the quintic's prebuilt Sturm sequence, whose remainder
+    sequence already carries the discriminant.  Rejects degree != 5 loudly:
+    the positivity invariants make a degenerate leading coefficient
+    impossible, so reaching it means corrupted input.
     """
-    if g2.degree != 5:
-        raise DegenerateGameError(f"expected a degree-5 polynomial, got degree {g2.degree}")
-    res = resultant_subresultant(g2, poly_derivative(g2))
-    delta_scaled = res / g2.leading_coefficient  # (-1)^(5*4/2) = +1
-    delta = delta_scaled / Fraction(G_SCALE) ** 8
+    degree = (g2.poly if isinstance(g2, SturmSequence) else g2).degree
+    if degree != 5:
+        raise DegenerateGameError(f"expected a degree-5 polynomial, got degree {degree}")
+    # g = g2 / G_SCALE scales the degree-5 discriminant by G_SCALE^-(2*5-2)
+    delta = SturmSequence.of(g2).discriminant / Fraction(G_SCALE) ** 8
     sign = 0 if delta == 0 else (1 if delta > 0 else -1)
     return delta, sign
 
 
 def find_candidate_roots(
-    g2: UniPoly, a: Fraction, refine_width: Fraction = DEFAULT_REFINE_WIDTH
+    g2: UniPoly | SturmSequence, a: Fraction, refine_width: Fraction = DEFAULT_REFINE_WIDTH
 ) -> list[tuple[Fraction, int]]:
     """Distinct real roots of the quintic strictly inside (0, a), refined.
 
     The endpoints are excluded for free: the quintic is exactly positive at 0
     and exactly negative at a for every valid game.
     """
-    a = Fraction(a)
-    roots = []
-    for iv in isolate_roots_in_interval(g2, Fraction(0), a):
-        roots.append((refine_root(g2, iv, refine_width), iv.multiplicity))
-    return roots
+    seq = SturmSequence.of(g2)
+    return [
+        (refine_root(seq, iv, refine_width), iv.multiplicity)
+        for iv in isolate_roots_in_interval(seq, Fraction(0), Fraction(a))
+    ]
 
 
 def recover_k1(norm: NormalizedGame, k2: float) -> float:
@@ -160,9 +161,29 @@ class NashEquilibrium:
 
 @dataclass(frozen=True)
 class TheoremFlags:
+    """The discriminant law: one to three equilibria, exactly one when the
+    discriminant is negative, at most two when it is zero."""
+
     existence: bool
     at_most_three: bool
     delta_consistency: bool
+
+    @classmethod
+    def checked(cls, n_nash: int, delta_sign: int, where: str) -> "TheoremFlags":
+        """The flags of n_nash equilibria under a discriminant of sign delta_sign.
+
+        Raises ConsistencyError naming `where` if the law fails.
+        """
+        flags = cls(
+            existence=n_nash >= 1,
+            at_most_three=n_nash <= 3,
+            delta_consistency=(delta_sign >= 0 or n_nash == 1) and (delta_sign != 0 or n_nash <= 2),
+        )
+        if not flags.all_ok:
+            raise ConsistencyError(
+                f"{where} violates the discriminant law (sign {delta_sign}, {n_nash} equilibria)"
+            )
+        return flags
 
     @property
     def all_ok(self) -> bool:
@@ -186,6 +207,14 @@ class SolveReport:
     def n_nash(self) -> int:
         return len(self.equilibria)
 
+    @property
+    def delta_float(self) -> float:
+        """The discriminant as a float, clamped to +-inf where it overflows."""
+        try:
+            return float(self.delta)
+        except OverflowError:
+            return math.inf if self.delta > 0 else -math.inf
+
 
 def solve(
     params: GameParams,
@@ -202,16 +231,17 @@ def solve(
     ex = exact_game(norm)
     a = Fraction(ex.a)
     g2 = build_g(ex)
-    delta, delta_sign = classify_discriminant(g2)
+    seq = SturmSequence(g2)
+    delta, delta_sign = classify_discriminant(seq)
 
     g_at_zero = poly_eval(g2, 0)
     g_at_a = poly_eval(g2, a)
     if not (g_at_zero > 0 and g_at_a < 0):
         raise ConsistencyError("endpoint signs of the quintic violated")
 
-    roots_below = sturm_count(g2, NEG_INF, Fraction(0))
-    roots_above = sturm_count(g2, a, POS_INF)
-    candidates = find_candidate_roots(g2, a, refine_width)
+    roots_below = sturm_count(seq, NEG_INF, Fraction(0))
+    roots_above = sturm_count(seq, a, POS_INF)
+    candidates = find_candidate_roots(seq, a, refine_width)
     real_roots_total = roots_below + len(candidates) + roots_above
 
     equilibria = []
@@ -243,14 +273,7 @@ def solve(
             )
         )
 
-    n = len(equilibria)
-    flags = TheoremFlags(
-        existence=n >= 1,
-        at_most_three=n <= 3,
-        delta_consistency=(delta_sign >= 0 or n == 1) and (delta_sign != 0 or n <= 2),
-    )
-    if not flags.all_ok:
-        raise ConsistencyError(f"equilibrium count {n} inconsistent with discriminant sign {delta_sign}")
+    flags = TheoremFlags.checked(len(equilibria), delta_sign, "solve")
     if roots_below < 1 or roots_above < 1:
         raise ConsistencyError("expected roots outside [0, a] on both sides")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .game import GameParams
-from .solver import ConsistencyError, solve
+from .solver import TheoremFlags, solve
 
 CSV_COLUMNS = (
     "a", "r2", "delta", "delta_sign", "n_real_roots_g", "n_nash",
@@ -155,13 +155,6 @@ def a_points(grid: AGrid) -> list[float]:
     return [grid.min + i * step for i in range(grid.count)]
 
 
-def _safe_float(x: Fraction) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-
-
 def _row_for_point(task: tuple) -> SweepRow:
     q1, r1, q2, b1, b2, x0, r2, a = task
     params = GameParams(
@@ -177,7 +170,7 @@ def _row_for_point(task: tuple) -> SweepRow:
     return SweepRow(
         a=a,
         r2=r2,
-        delta=_safe_float(report.delta),
+        delta=report.delta_float,
         delta_sign=report.delta_sign,
         n_real_roots_g=report.real_roots_total,
         n_nash=report.n_nash,
@@ -198,17 +191,6 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> list[SweepRow]:
     else:
         rows = [_row_for_point(t) for t in tasks]
     return rows
-
-
-def _assert_row_flags(row: SweepRow) -> None:
-    ok = 1 <= row.n_nash <= 3
-    ok = ok and (row.delta_sign != -1 or row.n_nash == 1)
-    ok = ok and (row.delta_sign != 0 or row.n_nash <= 2)
-    if not ok:
-        raise ConsistencyError(
-            f"sweep row a={row.a} r2={row.r2} violates the discriminant law "
-            f"(sign {row.delta_sign}, {row.n_nash} equilibria)"
-        )
 
 
 def format_float(x: float) -> str:
@@ -237,7 +219,7 @@ def _csv_line(row: SweepRow) -> str:
 def rows_to_csv(rows: list[SweepRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        _assert_row_flags(row)
+        TheoremFlags.checked(row.n_nash, row.delta_sign, f"sweep row a={row.a} r2={row.r2}")
         lines.append(_csv_line(row))
     return "\n".join(lines) + "\n"
 
@@ -245,7 +227,7 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 def rows_to_json_doc(rows: list[SweepRow]) -> list[dict]:
     out = []
     for row in rows:
-        _assert_row_flags(row)
+        TheoremFlags.checked(row.n_nash, row.delta_sign, f"sweep row a={row.a} r2={row.r2}")
         out.append(
             {
                 "a": row.a,

@@ -11,6 +11,7 @@ from lqnash.exactalg import (
     NEG_INF,
     POS_INF,
     RootInterval,
+    SturmSequence,
     UniPoly,
     discriminant,
     isolate_real_roots,
@@ -19,12 +20,9 @@ from lqnash.exactalg import (
     poly_eval,
     refine_root,
     resultant,
-    resultant_subresultant,
     square_free_part,
-    sturm_chain,
     sturm_count,
     sylvester_matrix,
-    poly_divmod,
 )
 from lqnash.game import GameParams, normalize
 from lqnash.solver import build_g
@@ -42,6 +40,13 @@ def random_poly(rng, degree, num=9, den=5):
     coeffs = [rational(rng, num, den) for _ in range(degree)]
     coeffs.append(Fraction(rng.randint(1, num)))
     return UniPoly(coeffs)
+
+
+def sylvester_discriminant(p):
+    """The discriminant by the reference route: the Sylvester determinant of (p, p')."""
+    n = p.degree
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * resultant(p, poly_derivative(p)) / p.leading_coefficient
 
 
 class TestPolyEval:
@@ -97,11 +102,15 @@ class TestResultant:
         assert resultant(X2_MINUS_1, UniPoly([-1, 1])) == 0
 
     def test_routes_agree_on_1000_random_pairs(self):
+        # the discriminant read off the Sturm remainder sequence against the
+        # Sylvester determinant of (p, p'), on both members of each pair
         rng = random.Random(20240)
         for _ in range(1000):
             a = random_poly(rng, rng.randint(1, 6))
             b = random_poly(rng, rng.randint(1, 6))
-            assert resultant(a, b) == resultant_subresultant(a, b)
+            for p in (a, b):
+                if p.degree >= 2:
+                    assert discriminant(p) == sylvester_discriminant(p)
 
     def test_zero_iff_nonconstant_gcd(self):
         rng = random.Random(7)
@@ -127,7 +136,13 @@ class TestResultant:
                 for y in rb:
                     expected *= x - y
             assert resultant(a, b) == expected
-            assert resultant_subresultant(a, b) == expected
+            if len(ra) >= 2:
+                # discriminant = lc^(2n-2) * prod_{i<j} (x_i - x_j)^2
+                expected_disc = ca ** (2 * len(ra) - 2)
+                for i, x in enumerate(ra):
+                    for y in ra[i + 1:]:
+                        expected_disc *= (x - y) ** 2
+                assert discriminant(a) == expected_disc == sylvester_discriminant(a)
 
     def test_routes_agree_on_sparse_degree_defect_inputs(self):
         # sparse polynomials force pseudo-division degree drops larger than one
@@ -140,8 +155,9 @@ class TestResultant:
                 ac[rng.randrange(da)] = rational(rng, 6, 3)
             for _ in range(rng.randint(0, 2)):
                 bc[rng.randrange(db)] = rational(rng, 6, 3)
-            a, b = UniPoly(ac), UniPoly(bc)
-            assert resultant(a, b) == resultant_subresultant(a, b)
+            for p in (UniPoly(ac), UniPoly(bc)):
+                if p.degree >= 2:
+                    assert discriminant(p) == sylvester_discriminant(p)
 
 
 class TestDiscriminant:
@@ -173,15 +189,6 @@ class TestSturm:
     def test_all_ones_quintic_unit_interval(self):
         assert sturm_count(ALL_ONES_2G, 0, 1) == 1
 
-    def test_chain_definition(self):
-        chain = sturm_chain(ALL_ONES_2G).sequence
-        assert chain[0] == ALL_ONES_2G
-        assert chain[1] == poly_derivative(ALL_ONES_2G)
-        for i in range(2, len(chain)):
-            assert chain[i] == -(poly_divmod(chain[i - 2], chain[i - 1])[1])
-        assert [p.degree for p in chain] == [5, 4, 3, 2, 1, 0]
-        assert chain[-1].degree == 0 and not chain[-1].is_zero
-
     def test_counts_match_construction(self):
         rng = random.Random(99)
         for _ in range(300):
@@ -191,6 +198,28 @@ class TestSturm:
                 for _ in range(rng.randint(1, 3)):
                     p = p * UniPoly([-r, 1])
             assert sturm_count(p, NEG_INF, POS_INF) == len(roots)
+
+
+class TestSturmSequence:
+    def test_prebuilt_sequence_answers_like_the_polynomial(self):
+        rng = random.Random(12)
+        width = Fraction(1, 2**40)
+        for _ in range(60):
+            roots = [rational(rng, 12, 4) for _ in range(rng.randint(1, 4))]
+            p = UniPoly.from_roots(roots + roots[: rng.randint(0, 2)])
+            seq = SturmSequence(p)
+            assert seq.square_free == (square_free_part(p).degree == p.degree)
+            assert sturm_count(seq, NEG_INF, POS_INF) == sturm_count(p, NEG_INF, POS_INF)
+            ivs = isolate_real_roots(seq)
+            assert ivs == isolate_real_roots(p)
+            assert isolate_roots_in_interval(seq, -1, 1) == isolate_roots_in_interval(p, -1, 1)
+            assert [refine_root(seq, iv, width) for iv in ivs] == [
+                refine_root(p, iv, width) for iv in ivs
+            ]
+
+    def test_rejects_constant(self):
+        with pytest.raises(ValueError):
+            SturmSequence(UniPoly([3]))
 
 
 class TestIsolation:
@@ -277,3 +306,13 @@ def test_eval_is_ring_homomorphism(pc, qc, x):
     p, q = UniPoly(pc), UniPoly(qc)
     assert poly_eval(p * q, x) == poly_eval(p, x) * poly_eval(q, x)
     assert poly_eval(p + q, x) == poly_eval(p, x) + poly_eval(q, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(coeff, min_size=2, max_size=6), st.lists(coeff, min_size=1, max_size=3))
+def test_discriminant_matches_sylvester_route(pc, qc):
+    # p * q^2 has a multiple root whenever q is nonconstant
+    p, q = UniPoly(pc), UniPoly(qc)
+    for f in (p, p * q * q):
+        if f.degree >= 2:
+            assert discriminant(f) == sylvester_discriminant(f)

@@ -1,13 +1,16 @@
 """Solver pipeline: exact quintic assembly, discriminant classification,
 certified candidate roots, and the verified end-to-end report."""
 
+import dataclasses
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from lqnash.exactalg import NEG_INF, POS_INF, UniPoly, poly_eval, sturm_count
+from lqnash.exactalg import NEG_INF, POS_INF, SturmSequence, UniPoly, poly_eval, sturm_count
 from lqnash.game import GameParams, TrivialGame, best_response, normalize, residuals
 from lqnash.solver import (
     ConsistencyError,
@@ -81,6 +84,14 @@ class TestClassify:
     def test_rejects_wrong_degree(self):
         with pytest.raises(DegenerateGameError):
             classify_discriminant(UniPoly([1, 2, 3]))
+        with pytest.raises(DegenerateGameError):
+            classify_discriminant(SturmSequence(UniPoly([1, 2, 3])))
+
+    def test_prebuilt_sequence_gives_the_same_classification(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            g2 = build_g(normalize(random_rational_game(rng)))
+            assert classify_discriminant(SturmSequence(g2)) == classify_discriminant(g2)
 
 
 class TestCandidateRoots:
@@ -222,3 +233,19 @@ class TestSolve:
             report = solve(params)
             assert report.n_nash <= 2
             assert sum(e.root_multiplicity for e in report.equilibria) <= 3
+
+
+class TestReport:
+    def test_delta_float_clamps_overflow(self):
+        report = solve(ALL_ONES)
+        assert report.delta_float == float(report.delta) == -5056.0
+        assert dataclasses.replace(report, delta=Fraction(10**400)).delta_float == math.inf
+        assert dataclasses.replace(report, delta=Fraction(-(10**400))).delta_float == -math.inf
+        tiny = Fraction(3, 10**400)
+        assert dataclasses.replace(report, delta=tiny).delta_float == float(tiny)
+
+
+def test_import_lqnash_does_not_load_numpy():
+    code = "import sys, lqnash; assert 'numpy' not in sys.modules, 'numpy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Sweep configuration, grids, and emission invariants."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,14 +8,18 @@ from pathlib import Path
 import pytest
 
 import lqnash.cli as cli
+from lqnash.solver import ConsistencyError
 from lqnash.sweep import (
     AGrid,
     ConfigError,
+    EquilibriumRow,
     SweepOutputs,
+    SweepRow,
     a_points,
     format_float,
     parse_config,
     rows_to_csv,
+    rows_to_json_doc,
     run_sweep,
     SweepConfig,
 )
@@ -99,6 +104,17 @@ class TestEmission:
         # r2 values are swept in ascending order regardless of input order
         r2_col = [line.split(",")[1] for line in text.splitlines()[1:]]
         assert r2_col == sorted(r2_col, key=float)
+
+    def test_rows_breaking_the_discriminant_law_are_refused(self):
+        eq = EquilibriumRow(k1=0.1, k2=0.2, a_cl=0.5, j1=1.0, j2=1.0)
+        row = SweepRow(a=2.5, r2=1.5, delta=-1.0, delta_sign=-1, n_real_roots_g=5,
+                       n_nash=3, equilibria=(eq, eq, eq))
+        with pytest.raises(ConsistencyError, match=r"a=2\.5 r2=1\.5"):
+            rows_to_csv([row])
+        with pytest.raises(ConsistencyError, match=r"a=2\.5 r2=1\.5"):
+            rows_to_json_doc([row])
+        lawful = dataclasses.replace(row, n_nash=1, equilibria=(eq,))
+        assert rows_to_csv([lawful]).count("\n") == 2
 
     def test_format_float_sig_digits(self):
         assert format_float(1.2290953879362431) == "1.22909538794"
