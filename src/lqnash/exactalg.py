@@ -3,9 +3,9 @@
 Everything in this module is exact: coefficients are `fractions.Fraction`,
 determinants use fraction-free elimination, and real roots are isolated by
 Sturm bisection with integer sign evaluations.  One remainder sequence per
-polynomial (`SturmSequence`) serves root counting, isolation, refinement and
-the discriminant.  Floating point appears only when a caller converts a
-refined rational approximation at the very end.
+polynomial (`SturmSequence`) serves root counting, isolation, refinement,
+root multiplicities and the discriminant.  Floating point appears only when
+a caller converts a refined rational approximation at the very end.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-# Carrier for all exact coefficients.  Fraction is always reduced and keeps
-# a positive denominator, which is exactly the invariant we need.
-BigRational = Fraction
 
 RationalLike = Union[int, Fraction]
 
@@ -57,10 +53,6 @@ class UniPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def constant(cls, c: RationalLike) -> "UniPoly":
-        return cls((c,))
 
     @classmethod
     def from_roots(cls, roots: Sequence[RationalLike]) -> "UniPoly":
@@ -191,34 +183,6 @@ def square_free_part(p: UniPoly) -> UniPoly:
     if g.degree == 0:
         return p
     return poly_divmod(p, g)[0]
-
-
-def square_free_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun decomposition: pairs (factor, multiplicity) with p ~ prod f_i^i.
-
-    Returned factors are monic, pairwise coprime, and square-free; factors of
-    multiplicity i collect exactly the roots of p with multiplicity i.
-    """
-    if p.degree <= 0:
-        return []
-    dp = poly_derivative(p)
-    g = poly_gcd(p, dp)
-    if g.degree == 0:
-        return [(p.monic(), 1)]
-    out = []
-    w = poly_divmod(p, g)[0]
-    y = poly_divmod(dp, g)[0]
-    z = y - poly_derivative(w)
-    i = 1
-    while w.degree > 0:
-        f = poly_gcd(w, z)
-        if f.degree > 0:
-            out.append((f.monic(), i))
-        w = poly_divmod(w, f)[0]
-        y = poly_divmod(z, f)[0]
-        z = y - poly_derivative(w)
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +362,12 @@ class SturmSequence:
     (integer coefficients), which counting, isolation and refinement share.
     `discriminant` is the exact discriminant of `poly`, read off the same
     remainder sequence of (p, p'); it is zero when `poly` has a multiple root.
+    `gcd` is the sequence of gcd(p, p'), the element that ends that remainder
+    sequence, or None when `poly` is square-free: a root of multiplicity m of
+    p is a root of multiplicity m - 1 of the gcd.
     """
 
-    __slots__ = ("poly", "sf_ints", "chain", "square_free", "discriminant")
+    __slots__ = ("poly", "sf_ints", "chain", "square_free", "discriminant", "gcd")
 
     def __init__(self, p: UniPoly):
         n = p.degree
@@ -416,13 +383,16 @@ class SturmSequence:
         if self.square_free:
             self.sf_ints = ints
             self.chain = chain
+            self.gcd = None
         else:
-            g = chain[-1]
-            c = math.gcd(*g)
-            sf = _divexact_int(ints, [x // c for x in g])
+            c = math.gcd(*chain[-1])
+            g = [x // c for x in chain[-1]]
+            sf = _divexact_int(ints, g)
             c = math.gcd(*sf)
             self.sf_ints = [x // c for x in sf]
             self.chain = _signed_prs(self.sf_ints)[0]
+            # the degree drops at every level, so this recursion ends
+            self.gcd = SturmSequence(UniPoly(g))
 
     @classmethod
     def of(cls, p: "UniPoly | SturmSequence") -> "SturmSequence":
@@ -532,13 +502,19 @@ def _isolate_square_free(
 
 
 def _with_multiplicities(seq: SturmSequence, raw) -> list[RootInterval]:
-    if seq.square_free:
-        return [RootInterval(lo, hi, 1) for lo, hi in raw]
-    factors = [(SturmSequence(f), m) for f, m in square_free_decomposition(seq.poly)]
-    return [
-        RootInterval(lo, hi, next((m for f, m in factors if sturm_count(f, lo, hi) == 1), 0))
-        for lo, hi in raw
-    ]
+    """Attach to each isolating interval the multiplicity of its root.
+
+    (lo, hi] holds one distinct root of p and the roots of gcd(p, p') are
+    among those of p, so the root has multiplicity m exactly when the first
+    m - 1 nested gcds each have a root in (lo, hi].
+    """
+    out = []
+    for lo, hi in raw:
+        m, g = 1, seq.gcd
+        while g is not None and sturm_count(g, lo, hi) == 1:
+            m, g = m + 1, g.gcd
+        out.append(RootInterval(lo, hi, m))
+    return out
 
 
 def isolate_real_roots(p: UniPoly | SturmSequence) -> list[RootInterval]:

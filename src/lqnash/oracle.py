@@ -194,14 +194,9 @@ def resultant_elimination(norm: NormalizedGame) -> UniPoly:
     p1, p2 = stationarity_system(norm)
     a2, a1, a0 = _k1_coefficients(p1)
     b2, b1, b0 = _k1_coefficients(p2)
-    zero = UniPoly()
-    m = [
-        [a2, a1, a0, zero],
-        [zero, a2, a1, a0],
-        [b2, b1, b0, zero],
-        [zero, b2, b1, b0],
-    ]
-    res = _poly_det(m)
+    # the 4x4 Sylvester determinant of two quadratics in k1, in closed form
+    c = a2 * b0 - a0 * b2
+    res = c * c - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1)
     if res.is_zero:
         raise SharedComponentError("residual cubics share a component")
     return res
@@ -217,21 +212,6 @@ def _k1_coefficients(p) -> tuple[UniPoly, UniPoly, UniPoly]:
     for (i, j), c in p.terms.items():
         by_power[i][j] = c
     return UniPoly(by_power[2]), UniPoly(by_power[1]), UniPoly(by_power[0])
-
-
-def _poly_det(m: list[list[UniPoly]]) -> UniPoly:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    out = UniPoly()
-    for col in range(n):
-        entry = m[0][col]
-        if entry.is_zero:
-            continue
-        minor = [[row[c] for c in range(n) if c != col] for row in m[1:]]
-        term = entry * _poly_det(minor)
-        out = out + term if col % 2 == 0 else out - term
-    return out
 
 
 @dataclass(frozen=True)

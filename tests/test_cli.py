@@ -9,6 +9,9 @@ import pytest
 import lqnash.cli as cli
 import lqnash.oracle as oracle
 from lqnash.cli import canonical_dumps, main, parse_rational
+from lqnash.exactalg import isolate_real_roots
+from lqnash.game import normalize
+from lqnash.solver import fold_game, pitchfork_game
 from lqnash.sweep import CSV_COLUMNS
 
 ALL_ONES = ["--a", "1", "--q1", "1", "--q2", "1", "--r1", "1", "--r2", "1"]
@@ -18,6 +21,19 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def game_flags(params):
+    return [arg for name in ("a", "q1", "q2", "r1", "r2")
+            for arg in (f"--{name}", str(getattr(params, name)))]
+
+
+def multiple_root_games():
+    """(game, known k2, its multiplicity, multiplicities of all real roots of
+    the direct resultant) for a fold and a pitchfork point."""
+    fold, (_, fold_k2) = fold_game(Fraction(1, 2), Fraction(1, 2))
+    pitchfork, s = pitchfork_game(Fraction(3, 4))
+    return [(fold, fold_k2, 2, [1, 1, 2, 1]), (pitchfork, s, 3, [1, 3, 1])]
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -228,3 +244,22 @@ class TestGroebnerCheckCommand:
         )
         assert code == 2
         assert "not a rational number" in err
+
+
+class TestMultipleRootGames:
+    @pytest.mark.parametrize("game", multiple_root_games(), ids=["fold", "pitchfork"])
+    def test_verify_and_groebner_check_pass(self, capsys, game):
+        params = game[0]
+        code, out, _ = run_cli(capsys, ["verify", *game_flags(params)])
+        assert code == 0
+        assert "VERDICT: PASS" in out
+        code, out, _ = run_cli(capsys, ["groebner-check", *game_flags(params)])
+        assert code == 0
+        assert "PASS: elimination polynomial matches the closed form exactly" in out
+
+    @pytest.mark.parametrize("game", multiple_root_games(), ids=["fold", "pitchfork"])
+    def test_resultant_reports_the_constructed_multiplicity(self, game):
+        params, k2, multiplicity, all_multiplicities = game
+        ivs = isolate_real_roots(oracle.resultant_elimination(normalize(params)))
+        assert [iv.multiplicity for iv in ivs if iv.lo < k2 <= iv.hi] == [multiplicity]
+        assert [iv.multiplicity for iv in ivs] == all_multiplicities

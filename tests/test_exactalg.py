@@ -316,3 +316,31 @@ def test_discriminant_matches_sylvester_route(pc, qc):
     for f in (p, p * q * q):
         if f.degree >= 2:
             assert discriminant(f) == sylvester_discriminant(f)
+
+
+dyadic_root = st.integers(min_value=-12, max_value=12).map(lambda k: Fraction(k, 4))
+irreducible_quadratic = st.sampled_from([None, (1, 0, 1), (5, -2, 1), (3, 3, 1), (7, 1, 4)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(dyadic_root, st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
+    irreducible_quadratic,
+    st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(lambda c: c != 0),
+)
+def test_multiplicities_match_the_construction(mults, quadratic, c):
+    # roots on a dyadic grid, so that bisection from the Cauchy bound lands on them
+    roots = sorted(mults)
+    p = UniPoly.from_roots([r for r in roots for _ in range(mults[r])]).scale(c)
+    if quadratic is not None:
+        p = p * UniPoly(quadratic)
+    ivs = isolate_real_roots(p)
+    assert len(ivs) == len(roots)
+    for iv, r in zip(ivs, roots):
+        assert iv.lo < r <= iv.hi
+        assert iv.multiplicity == mults[r]
+    # one nested gcd per extra multiplicity of the highest root
+    depth, seq = 0, SturmSequence(p).gcd
+    while seq is not None:
+        depth, seq = depth + 1, seq.gcd
+    assert depth == max(mults.values()) - 1

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lqnash.exactalg import poly_gcd, sturm_count
+from lqnash.exactalg import UniPoly, poly_eval, poly_gcd, resultant, sturm_count
 from lqnash.game import GameParams, best_response, cost, float_game, normalize, residuals
 from lqnash.oracle import (
     _straddles_zero,
@@ -18,7 +18,7 @@ from lqnash.oracle import (
     resultant_elimination,
     simulate_cost,
 )
-from lqnash.solver import build_g, solve
+from lqnash.solver import build_g, solve, stationarity_system
 
 ALL_ONES = GameParams(a=1, q1=1, q2=1, r1=1, r2=1)
 SYMMETRIC_K = 0.3554157267758450
@@ -213,6 +213,27 @@ class TestResultantElimination:
             shared = poly_gcd(res, g2)
             a = Fraction(norm.a)
             assert sturm_count(shared, Fraction(0), a) == sturm_count(g2, Fraction(0), a)
+
+    def test_matches_sylvester_route_at_rational_k2(self):
+        # at k2 not in {0, a} both residuals are quadratics in k1 of degree two
+        def in_k1(p, k2):
+            coeffs = [Fraction(0)] * 3
+            for (i, j), c in p.terms.items():
+                coeffs[i] += c * k2**j
+            return UniPoly(coeffs)
+
+        rng = random.Random(18)
+        for _ in range(30):
+            norm = normalize(random_rational_game(rng))
+            res = resultant_elimination(norm)
+            p1, p2 = stationarity_system(norm)
+            for _ in range(10):
+                k2 = Fraction(rng.randint(-80, 80), rng.randint(1, 12))
+                if k2 in (0, norm.a):
+                    continue
+                A, B = in_k1(p1, k2), in_k1(p2, k2)
+                assert A.degree == B.degree == 2
+                assert poly_eval(res, k2) == resultant(A, B)
 
 
 class TestSimulateCost:
