@@ -407,12 +407,12 @@ def discriminant(p: UniPoly) -> Fraction:
     return SturmSequence(p).discriminant
 
 
-def _sign_at(ints: list[int], x: Fraction) -> int:
-    """Sign of an integer polynomial at a rational point, exactly.
+def _sign_at(ints: list[int], num: int, den: int) -> int:
+    """Sign of an integer polynomial at the rational point num/den (den > 0), exactly.
 
-    Evaluates sum c_i num^i den^(d-i), which is the value scaled by den^d > 0.
+    Evaluates sum c_i num^i den^(d-i), which is the value scaled by den^d > 0,
+    so num/den need not be in lowest terms.
     """
-    num, den = x.numerator, x.denominator
     acc = 0
     powden = 1
     for c in reversed(ints):
@@ -438,16 +438,17 @@ def _variations(signs: Iterable[int]) -> int:
 
 
 def _chain_signs(chain: list[list[int]], x: Endpoint) -> list[int]:
-    out = []
-    for ints in chain:
-        if isinstance(x, _Inf):
+    if isinstance(x, _Inf):
+        out = []
+        for ints in chain:
             lead = ints[-1]
             if not x.positive and (len(ints) - 1) % 2 == 1:
                 lead = -lead
             out.append(1 if lead > 0 else (-1 if lead < 0 else 0))
-        else:
-            out.append(_sign_at(ints, Fraction(x)))
-    return out
+        return out
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    return [_sign_at(ints, num, den) for ints in chain]
 
 
 def sturm_count(p: UniPoly | SturmSequence, lo: Endpoint, hi: Endpoint) -> int:
@@ -537,20 +538,30 @@ def refine_root(p: UniPoly | SturmSequence, iv: RootInterval, width: Fraction) -
 
     Works on the square-free part so multiple roots refine like simple ones;
     an exact rational root is returned exactly when bisection lands on it.
+    The loop runs on integers: with lo = l/D and hi - lo = w/D, every point
+    it visits is (l 2^j + w m) / (D 2^j), so only the result is a Fraction.
+    Raises ValueError unless `width` is positive, since bisection would
+    never reach it.
     """
+    width = Fraction(width)
+    if width <= 0:
+        raise ValueError(f"refine width must be positive, got {width}")
     ints = SturmSequence.of(p).sf_ints
     lo, hi = Fraction(iv.lo), Fraction(iv.hi)
-    width = Fraction(width)
-    s_hi = _sign_at(ints, hi)
+    s_hi = _sign_at(ints, hi.numerator, hi.denominator)
     if s_hi == 0:
         return hi
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s_mid = _sign_at(ints, mid)
+    # lo = num/den and hi - lo = w/den throughout; den doubles at each step
+    den = math.lcm(lo.denominator, hi.denominator)
+    num = lo.numerator * (den // lo.denominator)
+    w = hi.numerator * (den // hi.denominator) - num
+    w_scaled, limit = w * width.denominator, width.numerator * den
+    while w_scaled > limit:  # w/den > width
+        num, den, limit = 2 * num, 2 * den, 2 * limit
+        mid = num + w
+        s_mid = _sign_at(ints, mid, den)
         if s_mid == 0:
-            return mid
-        if s_mid == s_hi:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2
+            return Fraction(mid, den)
+        if s_mid != s_hi:
+            num = mid
+    return Fraction(2 * num + w, 2 * den)

@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exactalg import UniPoly
 from .game import (
     NormalizedGame,
@@ -120,6 +118,10 @@ def grid_scan(norm: NormalizedGame, n: int = GRID_DEFAULT) -> list[tuple[float, 
     stabilizing pairs.  Output is deterministic, ordered by ascending k2
     then k1.  All of it runs on the game rounded once to doubles.
     """
+    # numpy is imported here, its only use, so that `solve` and `sweep`
+    # through the CLI never load it
+    import numpy as np
+
     if n < 16:
         raise ValueError("grid resolution must be at least 16")
     fnorm = float_game(norm)

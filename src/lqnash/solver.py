@@ -33,8 +33,11 @@ from .game import (
     residuals,
 )
 
-# Width of the certified isolating interval before float conversion: below
-# one double-precision ulp at the root magnitudes that occur (roots < a <= 4).
+# Absolute width of a root's certified isolating interval before float
+# conversion.  Roots lie in (0, a) and a is unbounded (rational games reach
+# a = 400), so nothing caps their size; the width is at most one
+# double-precision ulp for roots >= 2^-8, and smaller roots keep fewer
+# significant bits, because the width is not relative to the root.
 DEFAULT_REFINE_WIDTH = Fraction(1, 2**60)
 
 # Reporting tolerance on residuals at the floating pair.  Existence of the
@@ -223,9 +226,10 @@ def solve(
 ) -> SolveReport:
     """Compute, verify and report every Nash equilibrium of the game.
 
-    Raises TrivialGame for a = 0, InvalidGameError on domain violations, and
-    ConsistencyError if any certified property fails downstream (which would
-    be an implementation bug, not a property of the game).
+    Raises TrivialGame for a = 0, InvalidGameError on domain violations,
+    ValueError unless `refine_width` is positive, and ConsistencyError if any
+    certified property fails downstream (which would be an implementation
+    bug, not a property of the game).
     """
     norm = normalize(params)
     ex = exact_game(norm)

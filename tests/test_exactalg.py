@@ -49,6 +49,34 @@ def sylvester_discriminant(p):
     return sign * resultant(p, poly_derivative(p)) / p.leading_coefficient
 
 
+def _reference_refine(p, iv, width):
+    """Bisection on `Fraction` midpoints, the loop `refine_root` replaced.
+
+    Signs come from `poly_eval` on the square-free part, not from the
+    integer evaluator under test.
+    """
+    sf = UniPoly(SturmSequence.of(p).sf_ints)
+
+    def sign(x):
+        value = poly_eval(sf, x)
+        return (value > 0) - (value < 0)
+
+    lo, hi, width = Fraction(iv.lo), Fraction(iv.hi), Fraction(width)
+    s_hi = sign(hi)
+    if s_hi == 0:
+        return hi
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s_mid = sign(mid)
+        if s_mid == 0:
+            return mid
+        if s_mid == s_hi:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
 class TestPolyEval:
     def test_root_of_factored(self):
         assert poly_eval(X2_MINUS_1, 1) == 0
@@ -292,6 +320,28 @@ class TestRefine:
                 lo_val, hi_val = poly_eval(sf, r - width), poly_eval(sf, r + width)
                 assert lo_val == 0 or hi_val == 0 or (lo_val < 0) != (hi_val < 0)
 
+    @pytest.mark.parametrize(
+        "roots, lo, hi, width, expected",
+        [
+            ([1, 3], 0, 1, Fraction(1, 2**30), 1),  # root at hi, returned before bisecting
+            ([Fraction(3, 4)], 0, 1, Fraction(1, 2**30), Fraction(3, 4)),  # second midpoint
+            ([Fraction(2, 3)], Fraction(1, 3), 1, Fraction(1, 2**30), Fraction(2, 3)),  # D = 3
+            ([Fraction(1, 3)], 0, 1, 1, Fraction(1, 2)),  # the width covers the interval
+        ],
+    )
+    def test_exact_exits(self, roots, lo, hi, width, expected):
+        p = UniPoly.from_roots(roots)
+        iv = RootInterval(Fraction(lo), Fraction(hi), 1)
+        got = refine_root(p, iv, width)
+        assert got == expected == _reference_refine(p, iv, width)
+        assert isinstance(got, Fraction)
+
+    @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 2**60), 0.0])
+    def test_nonpositive_width_is_rejected(self, width):
+        # x^2 - 2 on (1, 2]: bisection towards width <= 0 would never stop
+        with pytest.raises(ValueError, match="width"):
+            refine_root(UniPoly([-2, 0, 1]), RootInterval(Fraction(1), Fraction(2), 1), width)
+
 
 coeff = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -344,3 +394,35 @@ def test_multiplicities_match_the_construction(mults, quadratic, c):
     while seq is not None:
         depth, seq = depth + 1, seq.gcd
     assert depth == max(mults.values()) - 1
+
+
+refine_root_value = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+real_quadratic = st.sampled_from([None, (-2, 0, 1), (-3, 0, 1), (-5, 0, 3), (-1, -1, 1)])
+refine_width = st.one_of(
+    st.integers(min_value=0, max_value=70).map(lambda k: Fraction(1, 2**k)),
+    st.sampled_from([Fraction(1, 10**12), Fraction(1, 3), None]),  # None: covers the interval
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(
+        refine_root_value, st.integers(min_value=1, max_value=3), min_size=1, max_size=4
+    ),
+    real_quadratic,
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([3, 5, 7, 9]),
+    refine_width,
+)
+def test_refine_matches_fraction_bisection(mults, quadratic, n, d, width):
+    # dyadic roots are hit exactly by bisection from the Cauchy bound, and
+    # roots k/2^m * n/d by bisection of the window (0, n/d]
+    p = UniPoly.from_roots([r for r in mults for _ in range(mults[r])])
+    if quadratic is not None:
+        p = p * UniPoly(quadratic)
+    seq = SturmSequence(p)
+    for iv in isolate_real_roots(seq) + isolate_roots_in_interval(seq, 0, Fraction(n, d)):
+        w = iv.hi - iv.lo if width is None else width
+        got = refine_root(seq, iv, w)
+        assert isinstance(got, Fraction)
+        assert got == _reference_refine(seq, iv, w)

@@ -10,9 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from lqnash.exactalg import NEG_INF, POS_INF, SturmSequence, UniPoly, poly_eval, sturm_count
-from lqnash.game import GameParams, TrivialGame, best_response, normalize, residuals
+from lqnash.exactalg import (
+    NEG_INF,
+    POS_INF,
+    SturmSequence,
+    UniPoly,
+    isolate_roots_in_interval,
+    poly_eval,
+    sturm_count,
+)
+from lqnash.game import GameParams, TrivialGame, best_response, exact_game, normalize, residuals
 from lqnash.solver import (
+    DEFAULT_REFINE_WIDTH,
     ConsistencyError,
     DegenerateGameError,
     build_g,
@@ -23,6 +32,7 @@ from lqnash.solver import (
     recover_k1,
     solve,
 )
+from test_exactalg import _reference_refine
 
 ALL_ONES = GameParams(a=1, q1=1, q2=1, r1=1, r2=1)
 SYMMETRIC_K = 0.3554157267758450
@@ -115,6 +125,27 @@ class TestCandidateRoots:
             total = sturm_count(g2, NEG_INF, POS_INF)
             assert total - len(inside) >= 2
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # a = 19/5 has an odd denominator
+            GameParams(a=Fraction(19, 5), q1=Fraction(1, 2), q2=1, r1=1, r2=1),
+            fold_game(Fraction(1, 2), Fraction(1, 2))[0],
+            # the triple root refines on the square-free part
+            pitchfork_game(Fraction(3, 4))[0],
+        ],
+        ids=["odd-denominator", "fold", "pitchfork"],
+    )
+    def test_roots_equal_fraction_bisection(self, params):
+        ex = exact_game(normalize(params))
+        a = Fraction(ex.a)
+        seq = SturmSequence(build_g(ex))
+        expected = [
+            (_reference_refine(seq, iv, DEFAULT_REFINE_WIDTH), iv.multiplicity)
+            for iv in isolate_roots_in_interval(seq, Fraction(0), a)
+        ]
+        assert find_candidate_roots(seq, a) == expected
+
 
 class TestRecoverK1:
     def test_symmetric_fixed_point(self):
@@ -161,6 +192,11 @@ class TestSolve:
     def test_sweep_family_three_equilibria(self):
         report = solve(GameParams(a=3.8, q1=0.5, q2=1, r1=1, r2=1))
         assert report.n_nash == 3 and report.delta_sign == 1
+
+    @pytest.mark.parametrize("width", [0, Fraction(-1, 2**60)])
+    def test_nonpositive_refine_width_is_rejected(self, width):
+        with pytest.raises(ValueError, match="width"):
+            solve(ALL_ONES, refine_width=width)
 
     def test_trivial_game_signal(self):
         with pytest.raises(TrivialGame):
@@ -247,5 +283,17 @@ class TestReport:
 
 def test_import_lqnash_does_not_load_numpy():
     code = "import sys, lqnash; assert 'numpy' not in sys.modules, 'numpy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_solve_does_not_load_numpy():
+    # only the grid-scan oracle of `verify` needs numpy
+    code = (
+        "import sys, lqnash.cli; "
+        "assert lqnash.cli.main(['solve', '--a', '1', '--q1', '1', '--q2', '1', '--r1', '1', "
+        "'--r2', '1']) == 0; "
+        "assert 'numpy' not in sys.modules, 'numpy imported'"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
