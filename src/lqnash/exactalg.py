@@ -1,11 +1,11 @@
 """Exact univariate polynomial algebra over arbitrary-precision rationals.
 
 Everything in this module is exact: coefficients are `fractions.Fraction`,
-determinants use fraction-free elimination, and real roots are isolated by
-Sturm bisection with integer sign evaluations.  One remainder sequence per
-polynomial (`SturmSequence`) serves root counting, isolation, refinement,
-root multiplicities and the discriminant.  Floating point appears only when
-a caller converts a refined rational approximation at the very end.
+and real roots are isolated by Sturm bisection with integer sign
+evaluations.  One remainder sequence per polynomial (`SturmSequence`)
+serves root counting, isolation, refinement, root multiplicities and the
+discriminant.  Floating point appears only when a caller converts a refined
+rational approximation at the very end.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -54,13 +54,6 @@ class UniPoly:
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
-    @classmethod
-    def from_roots(cls, roots: Sequence[RationalLike]) -> "UniPoly":
-        p = cls((1,))
-        for r in roots:
-            p = p * cls((-Fraction(r), 1))
-        return p
-
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
@@ -69,12 +62,6 @@ class UniPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
 
     def monic(self) -> "UniPoly":
         if self.is_zero:
@@ -108,17 +95,11 @@ class UniPoly:
                 out[i + j] += a * b
         return UniPoly(out)
 
-    def scale(self, c: RationalLike) -> "UniPoly":
-        return UniPoly(Fraction(c) * x for x in self.coeffs)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __call__(self, x: RationalLike) -> Fraction:
-        return poly_eval(self, x)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -131,126 +112,6 @@ class UniPoly:
             term = f"{c}" if i == 0 else (f"{c}*x" if i == 1 else f"{c}*x^{i}")
             parts.append(term)
         return "UniPoly(" + " + ".join(parts) + ")"
-
-
-def poly_eval(p: UniPoly, x: RationalLike) -> Fraction:
-    """Exact Horner evaluation of p at a rational point."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def poly_derivative(p: UniPoly) -> UniPoly:
-    """Formal derivative; drops the degree by one for nonconstant input."""
-    return UniPoly(i * c for i, c in enumerate(p.coeffs) if i > 0)
-
-
-def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Quotient and remainder of exact division in Q[x]."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    db, lb = b.degree, b.coeffs[-1]
-    if a.degree < db:
-        return UniPoly(), a
-    quot = [Fraction(0)] * (a.degree - db + 1)
-    for i in range(a.degree - db, -1, -1):
-        c = rem[i + db] / lb
-        if c != 0:
-            quot[i] = c
-            for j, bc in enumerate(b.coeffs):
-                rem[i + j] -= c * bc
-        rem[i + db] = Fraction(0)
-    return UniPoly(quot), UniPoly(rem)
-
-
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor in Q[x] (constant 1 when coprime)."""
-    while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    return a.monic()
-
-
-def square_free_part(p: UniPoly) -> UniPoly:
-    """p divided by gcd(p, p'): same roots, all multiplicities one."""
-    if p.degree <= 0:
-        return p
-    g = poly_gcd(p, poly_derivative(p))
-    if g.degree == 0:
-        return p
-    return poly_divmod(p, g)[0]
-
-
-# ---------------------------------------------------------------------------
-# Sylvester matrices and resultants (the reference route for discriminants)
-# ---------------------------------------------------------------------------
-
-
-def sylvester_matrix(A: UniPoly, B: UniPoly) -> list[list[Fraction]]:
-    """(m+n) x (m+n) Sylvester matrix: n shifted rows of A, then m rows of B."""
-    if A.is_zero or B.is_zero:
-        raise ValueError("sylvester_matrix requires nonzero polynomials")
-    m, n = A.degree, B.degree
-    if m < 1 or n < 1:
-        raise ValueError("sylvester_matrix requires degree >= 1 on both sides")
-    size = m + n
-    rows = []
-    ac = list(reversed(A.coeffs))
-    bc = list(reversed(B.coeffs))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + ac + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + bc + [Fraction(0)] * (size - n - 1 - i))
-    return rows
-
-
-def _bareiss_det_int(m: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def matrix_determinant(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix via row-scaled Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
-    for row in rows:
-        den = math.lcm(*(Fraction(c).denominator for c in row)) if row else 1
-        scale /= den
-        int_rows.append([int(Fraction(c) * den) for c in row])
-    return Fraction(_bareiss_det_int(int_rows)) * scale
-
-
-def resultant(A: UniPoly, B: UniPoly) -> Fraction:
-    """Resultant as the exact Sylvester determinant."""
-    return matrix_determinant(sylvester_matrix(A, B))
 
 
 def _int_primitive(p: UniPoly) -> tuple[list[int], Fraction]:
@@ -358,16 +219,21 @@ def _divexact_int(a: list[int], b: list[int]) -> list[int]:
 class SturmSequence:
     """One polynomial's remainder sequence, built once and passed to every query.
 
-    `chain` is the signed primitive chain of the square-free part `sf_ints`
-    (integer coefficients), which counting, isolation and refinement share.
-    `discriminant` is the exact discriminant of `poly`, read off the same
-    remainder sequence of (p, p'); it is zero when `poly` has a multiple root.
-    `gcd` is the sequence of gcd(p, p'), the element that ends that remainder
-    sequence, or None when `poly` is square-free: a root of multiplicity m of
-    p is a root of multiplicity m - 1 of the gcd.
+    `ints` are the primitive integer coefficients of `poly`, a positive
+    multiple of it with the same signs everywhere.  `chain` is a primitive
+    integer Sturm chain of the square-free part `sf_ints`, which counting,
+    isolation and refinement share.  `discriminant` is the exact
+    discriminant of `poly`, read off the remainder sequence of (p, p'); it
+    is zero when `poly` has a multiple root.  That sequence then ends in g,
+    a multiple of gcd(p, p') that divides every element, and the quotients
+    form the chain of p / g: at each point they have the signs of the
+    elements times that of g, so every sign variation count is unchanged.
+    Each quotient of primitive polynomials is primitive (Gauss's lemma).
+    `gcd` is the sequence of g, or None when `poly` is square-free: a root
+    of multiplicity m of p is a root of multiplicity m - 1 of g.
     """
 
-    __slots__ = ("poly", "sf_ints", "chain", "square_free", "discriminant", "gcd")
+    __slots__ = ("poly", "ints", "sf_ints", "chain", "square_free", "discriminant", "gcd")
 
     def __init__(self, p: UniPoly):
         n = p.degree
@@ -377,34 +243,24 @@ class SturmSequence:
         chain, res = _signed_prs(ints)
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
         self.poly = p
+        self.ints = ints
         # p = content * ints scales the discriminant by content^(2n-2)
         self.discriminant = sign * content ** (2 * n - 2) * Fraction(res, ints[-1])
         self.square_free = len(chain[-1]) == 1
         if self.square_free:
-            self.sf_ints = ints
-            self.chain = chain
             self.gcd = None
         else:
-            c = math.gcd(*chain[-1])
-            g = [x // c for x in chain[-1]]
-            sf = _divexact_int(ints, g)
-            c = math.gcd(*sf)
-            self.sf_ints = [x // c for x in sf]
-            self.chain = _signed_prs(self.sf_ints)[0]
+            g = chain[-1]
+            chain = [_divexact_int(c, g) for c in chain]
             # the degree drops at every level, so this recursion ends
             self.gcd = SturmSequence(UniPoly(g))
+        self.chain = chain
+        self.sf_ints = chain[0]
 
     @classmethod
     def of(cls, p: "UniPoly | SturmSequence") -> "SturmSequence":
         """`p` itself if it is already a sequence, else a fresh one."""
         return p if isinstance(p, cls) else cls(p)
-
-
-def discriminant(p: UniPoly) -> Fraction:
-    """(-1)^(n(n-1)/2) * Res(p, p') / lc(p), exact; requires degree >= 2."""
-    if p.degree < 2:
-        raise ValueError("discriminant requires degree >= 2")
-    return SturmSequence(p).discriminant
 
 
 def _sign_at(ints: list[int], num: int, den: int) -> int:

@@ -20,13 +20,6 @@ class EliminationError(Exception):
     """Raised when a lex basis has no univariate member in the second variable."""
 
 
-def lex_compare(m1: Monomial, m2: Monomial) -> int:
-    """-1, 0 or +1 comparing exponent pairs lexicographically, k1 before k2."""
-    if m1 == m2:
-        return 0
-    return 1 if m1 > m2 else -1
-
-
 def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return (m1[0] + m2[0], m1[1] + m2[1])
 

@@ -28,15 +28,6 @@ class SharedComponentError(Exception):
     """The two residual cubics share a component (resultant identically zero)."""
 
 
-def h_eval(norm: NormalizedGame, x: float) -> float:
-    """Composed best-response displacement br1(br2(x)) - x.
-
-    Positive at 0 and negative at a for every valid game, so a zero (an
-    equilibrium gain of player 1) exists between them.
-    """
-    return best_response(norm, 1, best_response(norm, 2, x).k_best).k_best - x
-
-
 @dataclass(frozen=True)
 class BrIterationResult:
     converged: bool
@@ -226,9 +217,7 @@ class TrajectorySample:
     partial_cost_2: float
 
 
-def simulate_cost(
-    norm: NormalizedGame, k1: float, k2: float, horizon: int, x0: float | None = None
-) -> list[TrajectorySample]:
+def simulate_cost(norm: NormalizedGame, k1: float, k2: float, horizon: int) -> list[TrajectorySample]:
     """Roll the closed loop forward, accumulating both players' stage costs.
 
     For a stabilizing pair the partial sums approach the closed-form costs
@@ -238,7 +227,7 @@ def simulate_cost(
         raise ValueError("horizon must be >= 1")
     norm = float_game(norm)
     a_cl = float(closed_loop(norm.a, k1, k2))
-    x = float(norm.x0 if x0 is None else x0)
+    x = norm.x0
     w1 = norm.q1 + norm.r1 * k1 * k1
     w2 = norm.q2 + norm.r2 * k2 * k2
     total1 = total2 = 0.0

@@ -17,8 +17,8 @@ from .exactalg import (
     POS_INF,
     SturmSequence,
     UniPoly,
+    _sign_at,
     isolate_roots_in_interval,
-    poly_eval,
     refine_root,
     sturm_count,
 )
@@ -38,11 +38,11 @@ from .game import (
 # a = 400), so nothing caps their size; the width is at most one
 # double-precision ulp for roots >= 2^-8, and smaller roots keep fewer
 # significant bits, because the width is not relative to the root.
-DEFAULT_REFINE_WIDTH = Fraction(1, 2**60)
+REFINE_WIDTH = Fraction(1, 2**60)
 
 # Reporting tolerance on residuals at the floating pair.  Existence of the
 # root is certified exactly; this only governs presentation precision.
-DEFAULT_TOL_VERIFY = 1e-8
+TOL_VERIFY = 1e-8
 
 # The stored quintic is twice the elimination polynomial, which clears the
 # half-integer terms; the reported discriminant is rescaled accordingly.
@@ -125,9 +125,7 @@ def classify_discriminant(g2: UniPoly | SturmSequence) -> tuple[Fraction, int]:
     return delta, sign
 
 
-def find_candidate_roots(
-    g2: UniPoly | SturmSequence, a: Fraction, refine_width: Fraction = DEFAULT_REFINE_WIDTH
-) -> list[tuple[Fraction, int]]:
+def find_candidate_roots(g2: UniPoly | SturmSequence, a: Fraction) -> list[tuple[Fraction, int]]:
     """Distinct real roots of the quintic strictly inside (0, a), refined.
 
     The endpoints are excluded for free: the quintic is exactly positive at 0
@@ -135,7 +133,7 @@ def find_candidate_roots(
     """
     seq = SturmSequence.of(g2)
     return [
-        (refine_root(seq, iv, refine_width), iv.multiplicity)
+        (refine_root(seq, iv, REFINE_WIDTH), iv.multiplicity)
         for iv in isolate_roots_in_interval(seq, Fraction(0), Fraction(a))
     ]
 
@@ -219,17 +217,12 @@ class SolveReport:
             return math.inf if self.delta > 0 else -math.inf
 
 
-def solve(
-    params: GameParams,
-    refine_width: Fraction = DEFAULT_REFINE_WIDTH,
-    tol_verify: float = DEFAULT_TOL_VERIFY,
-) -> SolveReport:
+def solve(params: GameParams) -> SolveReport:
     """Compute, verify and report every Nash equilibrium of the game.
 
-    Raises TrivialGame for a = 0, InvalidGameError on domain violations,
-    ValueError unless `refine_width` is positive, and ConsistencyError if any
-    certified property fails downstream (which would be an implementation
-    bug, not a property of the game).
+    Raises TrivialGame for a = 0, InvalidGameError on domain violations, and
+    ConsistencyError if any certified property fails downstream (which would
+    be an implementation bug, not a property of the game).
     """
     norm = normalize(params)
     ex = exact_game(norm)
@@ -238,14 +231,12 @@ def solve(
     seq = SturmSequence(g2)
     delta, delta_sign = classify_discriminant(seq)
 
-    g_at_zero = poly_eval(g2, 0)
-    g_at_a = poly_eval(g2, a)
-    if not (g_at_zero > 0 and g_at_a < 0):
+    if not (_sign_at(seq.ints, 0, 1) > 0 and _sign_at(seq.ints, a.numerator, a.denominator) < 0):
         raise ConsistencyError("endpoint signs of the quintic violated")
 
     roots_below = sturm_count(seq, NEG_INF, Fraction(0))
     roots_above = sturm_count(seq, a, POS_INF)
-    candidates = find_candidate_roots(seq, a, refine_width)
+    candidates = find_candidate_roots(seq, a)
     real_roots_total = roots_below + len(candidates) + roots_above
 
     equilibria = []
@@ -255,7 +246,7 @@ def solve(
         rho1, rho2 = residuals(norm, k1f, k2f)
         residual_norm = max(abs(float(rho1)), abs(float(rho2)))
         a_cl = float(norm.a) - k1f - k2f
-        if residual_norm > tol_verify:
+        if residual_norm > TOL_VERIFY:
             raise ConsistencyError(
                 f"candidate root {k2f} failed residual verification ({residual_norm:.3e})"
             )

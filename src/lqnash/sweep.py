@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .game import GameParams
-from .solver import TheoremFlags, solve
+from .solver import NashEquilibrium, TheoremFlags, solve
 
 CSV_COLUMNS = (
     "a", "r2", "delta", "delta_sign", "n_real_roots_g", "n_nash",
@@ -61,15 +61,6 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class EquilibriumRow:
-    k1: float
-    k2: float
-    a_cl: float
-    j1: float
-    j2: float
-
-
-@dataclass(frozen=True)
 class SweepRow:
     a: float
     r2: float
@@ -77,7 +68,7 @@ class SweepRow:
     delta_sign: int
     n_real_roots_g: int
     n_nash: int
-    equilibria: tuple[EquilibriumRow, ...]
+    equilibria: tuple[NashEquilibrium, ...]
 
 
 def load_config(path: str) -> SweepConfig:
@@ -117,7 +108,7 @@ def parse_config(doc: dict) -> SweepConfig:
             r2_values=tuple(float(v) for v in doc["r2_values"]),
             outputs=outputs,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed sweep config: {exc}") from exc
     _validate(config)
     return config
@@ -125,6 +116,14 @@ def parse_config(doc: dict) -> SweepConfig:
 
 def _validate(config: SweepConfig) -> None:
     grid = config.a_grid
+    # JSON readers accept NaN and Infinity, which no game parameter may be
+    for name in ("q1", "r1", "q2", "b1", "b2", "x0"):
+        if not math.isfinite(getattr(config, name)):
+            raise ConfigError(f"{name} must be finite")
+    if not (math.isfinite(grid.min) and math.isfinite(grid.max)):
+        raise ConfigError("a_grid.min and a_grid.max must be finite")
+    if not all(math.isfinite(v) for v in config.r2_values):
+        raise ConfigError("r2_values must all be finite")
     if not grid.min > 0:
         raise ConfigError("a_grid.min must be > 0")
     if grid.max < grid.min:
@@ -163,10 +162,6 @@ def _row_for_point(task: tuple) -> SweepRow:
         b1=Fraction(b1), b2=Fraction(b2), x0=Fraction(x0),
     )
     report = solve(params)
-    eqs = tuple(
-        EquilibriumRow(k1=e.k1, k2=e.k2, a_cl=e.a_cl, j1=e.j1, j2=e.j2)
-        for e in report.equilibria
-    )
     return SweepRow(
         a=a,
         r2=r2,
@@ -174,7 +169,7 @@ def _row_for_point(task: tuple) -> SweepRow:
         delta_sign=report.delta_sign,
         n_real_roots_g=report.real_roots_total,
         n_nash=report.n_nash,
-        equilibria=eqs,
+        equilibria=report.equilibria,
     )
 
 

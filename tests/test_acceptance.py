@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import lqnash.cli as cli
-from lqnash.exactalg import poly_eval, poly_gcd, sturm_count
+from lqnash.exactalg import sturm_count
 from lqnash.game import (
     GameParams,
     best_response,
@@ -30,6 +30,7 @@ from lqnash.solver import (
     solve,
 )
 from lqnash.sweep import AGrid, SweepConfig, SweepOutputs, run_sweep
+from reference_algebra import poly_eval, poly_gcd, scale
 
 RNG_SEED = 20250810
 
@@ -145,7 +146,7 @@ def test_criterion_3_endpoint_identities():
         params = _random_rational_game(rng)
         norm = normalize(params)
         a, q1, q2, r1, r2 = norm.a, norm.q1, norm.q2, norm.r1, norm.r2
-        g = build_g(norm).scale(Fraction(1, 2))
+        g = scale(build_g(norm), Fraction(1, 2))
         assert poly_eval(g, 0) == a * a * q2 * q2 * r1 * r1 / 2
         assert poly_eval(g, a) == -(q1 * q1 * r2 * r2 / 2
                                     + q1 * r1 * r2 * r2

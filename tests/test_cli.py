@@ -1,6 +1,7 @@
 """Command-line surface: JSON/CSV/SVG emission, exit codes, determinism."""
 
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -148,6 +149,29 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, ["sweep", str(path)])
         assert code == 2
         assert "a_grid.min" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"q1": math.inf},
+            {"r1": math.nan},
+            {"q2": math.inf},
+            {"b1": math.nan},
+            {"b2": -math.inf},
+            {"x0": math.inf},
+            {"a_grid": {"min": 0.1, "max": math.inf, "count": 20}},
+            {"a_grid": {"min": 0.1, "max": 3.9, "count": math.inf}},
+            {"r2_values": [1.0, math.nan]},
+        ],
+        ids=["q1", "r1", "q2", "b1", "b2", "x0", "a_grid.max", "a_grid.count", "r2_values"],
+    )
+    def test_non_finite_number_exits_2_without_output(self, capsys, tmp_path, override):
+        # json.dumps writes NaN and Infinity, and json.load reads them back
+        path, _ = write_config(tmp_path, **override)
+        code, _, err = run_cli(capsys, ["sweep", str(path)])
+        assert code == 2
+        assert err.startswith("invalid sweep config")
         assert not (tmp_path / "out.csv").exists()
 
     def test_missing_config_file(self, capsys, tmp_path):

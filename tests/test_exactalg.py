@@ -13,19 +13,23 @@ from lqnash.exactalg import (
     RootInterval,
     SturmSequence,
     UniPoly,
-    discriminant,
     isolate_real_roots,
     isolate_roots_in_interval,
-    poly_derivative,
-    poly_eval,
     refine_root,
-    resultant,
-    square_free_part,
     sturm_count,
-    sylvester_matrix,
 )
 from lqnash.game import GameParams, normalize
 from lqnash.solver import build_g
+from reference_algebra import (
+    discriminant,
+    from_roots,
+    poly_derivative,
+    poly_eval,
+    resultant,
+    scale,
+    square_free_part,
+    sylvester_matrix,
+)
 
 X2_MINUS_1 = UniPoly([-1, 0, 1])
 ALL_ONES_2G = UniPoly([1, -2, -2, 0, -3, 2])  # twice the all-ones quintic
@@ -46,7 +50,7 @@ def sylvester_discriminant(p):
     """The discriminant by the reference route: the Sylvester determinant of (p, p')."""
     n = p.degree
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(p, poly_derivative(p)) / p.leading_coefficient
+    return sign * resultant(p, poly_derivative(p)) / p.coeffs[-1]
 
 
 def _reference_refine(p, iv, width):
@@ -85,7 +89,7 @@ class TestPolyEval:
         assert poly_eval(UniPoly(), 7) == 0
 
     def test_all_ones_quintic_at_zero(self):
-        g = build_g(normalize(GameParams(a=1, q1=1, q2=1, r1=1, r2=1))).scale(Fraction(1, 2))
+        g = scale(build_g(normalize(GameParams(a=1, q1=1, q2=1, r1=1, r2=1))), Fraction(1, 2))
         assert poly_eval(g, 0) == Fraction(1, 2)
 
 
@@ -144,10 +148,10 @@ class TestResultant:
         rng = random.Random(7)
         for _ in range(200):
             shared = rational(rng)
-            a = UniPoly.from_roots([shared, rational(rng)])
-            b = UniPoly.from_roots([shared, rational(rng), rational(rng)])
+            a = from_roots([shared, rational(rng)])
+            b = from_roots([shared, rational(rng), rational(rng)])
             assert resultant(a, b) == 0
-            disjoint = UniPoly.from_roots([shared + 1, shared + 2])
+            disjoint = from_roots([shared + 1, shared + 2])
             if poly_eval(a, shared + 1) != 0 and poly_eval(a, shared + 2) != 0:
                 assert resultant(a, disjoint) != 0
 
@@ -157,8 +161,8 @@ class TestResultant:
             ra = [rational(rng, 6, 3) for _ in range(rng.randint(1, 4))]
             rb = [rational(rng, 6, 3) for _ in range(rng.randint(1, 4))]
             ca, cb = Fraction(rng.randint(1, 4)), Fraction(rng.randint(1, 4))
-            a = UniPoly.from_roots(ra).scale(ca)
-            b = UniPoly.from_roots(rb).scale(cb)
+            a = scale(from_roots(ra), ca)
+            b = scale(from_roots(rb), cb)
             expected = ca ** len(rb) * cb ** len(ra)
             for x in ra:
                 for y in rb:
@@ -234,7 +238,7 @@ class TestSturmSequence:
         width = Fraction(1, 2**40)
         for _ in range(60):
             roots = [rational(rng, 12, 4) for _ in range(rng.randint(1, 4))]
-            p = UniPoly.from_roots(roots + roots[: rng.randint(0, 2)])
+            p = from_roots(roots + roots[: rng.randint(0, 2)])
             seq = SturmSequence(p)
             assert seq.square_free == (square_free_part(p).degree == p.degree)
             assert sturm_count(seq, NEG_INF, POS_INF) == sturm_count(p, NEG_INF, POS_INF)
@@ -245,6 +249,24 @@ class TestSturmSequence:
                 refine_root(p, iv, width) for iv in ivs
             ]
 
+    def test_divided_chain_counts_like_a_fresh_square_free_chain(self):
+        # p's own chain divided by gcd(p, p') against a new chain of p / gcd,
+        # with every endpoint a root, where the undivided chain vanishes
+        rng = random.Random(13)
+        for _ in range(200):
+            roots = sorted({rational(rng, 12, 4) for _ in range(rng.randint(1, 4))})
+            mults = [rng.randint(1, 4) for _ in roots]
+            p = from_roots([r for r, m in zip(roots, mults) for _ in range(m)])
+            if rng.random() < 0.3:
+                p = p * UniPoly([-2, 0, 1])
+            seq = SturmSequence(p)
+            fresh = SturmSequence(UniPoly(seq.sf_ints))
+            assert fresh.square_free and seq.square_free == (max(mults) == 1)
+            points = [NEG_INF, *roots, POS_INF]
+            for i, lo in enumerate(points):
+                for hi in points[i + 1:]:
+                    assert sturm_count(seq, lo, hi) == sturm_count(fresh, lo, hi)
+
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
             SturmSequence(UniPoly([3]))
@@ -252,7 +274,7 @@ class TestSturmSequence:
 
 class TestIsolation:
     def test_double_plus_simple(self):
-        p = UniPoly.from_roots([1, 1, -2])
+        p = from_roots([1, 1, -2])
         ivs = isolate_real_roots(p)
         assert len(ivs) == 2
         assert ivs[0].lo < -2 <= ivs[0].hi and ivs[0].multiplicity == 1
@@ -274,7 +296,7 @@ class TestIsolation:
         rng = random.Random(4)
         for _ in range(100):
             roots = sorted({rational(rng, 12, 4) for _ in range(rng.randint(2, 5))})
-            p = UniPoly.from_roots(roots)
+            p = from_roots(roots)
             ivs = isolate_real_roots(p)
             assert len(ivs) == len(roots)
             for iv, r in zip(ivs, roots):
@@ -313,7 +335,7 @@ class TestRefine:
         width = Fraction(1, 2**40)
         for _ in range(50):
             roots = sorted({rational(rng, 8, 3) for _ in range(rng.randint(1, 4))})
-            p = UniPoly.from_roots(roots)
+            p = from_roots(roots)
             for iv in isolate_real_roots(p):
                 r = refine_root(p, iv, width)
                 sf = square_free_part(p)
@@ -330,7 +352,7 @@ class TestRefine:
         ],
     )
     def test_exact_exits(self, roots, lo, hi, width, expected):
-        p = UniPoly.from_roots(roots)
+        p = from_roots(roots)
         iv = RootInterval(Fraction(lo), Fraction(hi), 1)
         got = refine_root(p, iv, width)
         assert got == expected == _reference_refine(p, iv, width)
@@ -381,7 +403,7 @@ irreducible_quadratic = st.sampled_from([None, (1, 0, 1), (5, -2, 1), (3, 3, 1),
 def test_multiplicities_match_the_construction(mults, quadratic, c):
     # roots on a dyadic grid, so that bisection from the Cauchy bound lands on them
     roots = sorted(mults)
-    p = UniPoly.from_roots([r for r in roots for _ in range(mults[r])]).scale(c)
+    p = scale(from_roots([r for r in roots for _ in range(mults[r])]), c)
     if quadratic is not None:
         p = p * UniPoly(quadratic)
     ivs = isolate_real_roots(p)
@@ -417,7 +439,7 @@ refine_width = st.one_of(
 def test_refine_matches_fraction_bisection(mults, quadratic, n, d, width):
     # dyadic roots are hit exactly by bisection from the Cauchy bound, and
     # roots k/2^m * n/d by bisection of the window (0, n/d]
-    p = UniPoly.from_roots([r for r in mults for _ in range(mults[r])])
+    p = from_roots([r for r in mults for _ in range(mults[r])])
     if quadratic is not None:
         p = p * UniPoly(quadratic)
     seq = SturmSequence(p)

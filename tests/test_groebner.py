@@ -13,11 +13,11 @@ from lqnash.groebner import (
     MultiPoly,
     buchberger,
     elimination_polynomial,
-    lex_compare,
     reduce,
     s_polynomial,
 )
 from lqnash.solver import build_g, stationarity_system
+from reference_algebra import lex_compare
 
 K1 = MultiPoly({(1, 0): 1})
 K2 = MultiPoly({(0, 1): 1})

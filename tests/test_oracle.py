@@ -8,17 +8,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lqnash.exactalg import UniPoly, poly_eval, poly_gcd, resultant, sturm_count
-from lqnash.game import GameParams, best_response, cost, float_game, normalize, residuals
+from lqnash.exactalg import UniPoly, sturm_count
+from lqnash.game import (
+    GameParams,
+    best_response,
+    cost,
+    exact_game,
+    float_game,
+    normalize,
+    residuals,
+)
+from lqnash.groebner import MultiPoly
 from lqnash.oracle import (
+    _jacobian,
     _straddles_zero,
     br_iteration,
     grid_scan,
-    h_eval,
     resultant_elimination,
     simulate_cost,
 )
 from lqnash.solver import build_g, solve, stationarity_system
+from reference_algebra import h_eval, poly_eval, poly_gcd, resultant
 
 ALL_ONES = GameParams(a=1, q1=1, q2=1, r1=1, r2=1)
 SYMMETRIC_K = 0.3554157267758450
@@ -234,6 +244,48 @@ class TestResultantElimination:
                 A, B = in_k1(p1, k2), in_k1(p2, k2)
                 assert A.degree == B.degree == 2
                 assert poly_eval(res, k2) == resultant(A, B)
+
+
+def _terms(p, k1, k2):
+    """The values of p's monomials at (k1, k2), exactly for rational inputs."""
+    return [c * k1**i * k2**j for (i, j), c in p.terms.items()]
+
+
+def _partial(p, var):
+    """Exact partial derivative of a MultiPoly in k1 (var 0) or k2 (var 1)."""
+    return MultiPoly({
+        (i - (var == 0), j - (var == 1)): c * (i, j)[var]
+        for (i, j), c in p.terms.items() if (i, j)[var]
+    })
+
+
+class TestStationarityEncodings:
+    """`residuals`, `stationarity_system` and the Newton Jacobian of the grid
+    scan encode the same two equations."""
+
+    def test_residuals_equal_the_polynomial_system_exactly(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            ex = exact_game(normalize(random_rational_game(rng)))
+            p1, p2 = stationarity_system(ex)
+            for _ in range(5):
+                k1 = Fraction(rng.randint(-80, 80), rng.randint(1, 12))
+                k2 = Fraction(rng.randint(-80, 80), rng.randint(1, 12))
+                assert residuals(ex, k1, k2) == (sum(_terms(p1, k1, k2)), sum(_terms(p2, k1, k2)))
+
+    def test_jacobian_matches_exact_partial_derivatives(self):
+        # the polynomials of the game's double image, differentiated exactly;
+        # the float Jacobian must agree to 1e-12 of the size of the terms
+        rng = random.Random(20)
+        for _ in range(100):
+            fnorm = float_game(normalize(random_float_game(rng)))
+            p1, p2 = stationarity_system(fnorm)
+            partials = [_partial(p, var) for p in (p1, p2) for var in (0, 1)]
+            for _ in range(5):
+                k1, k2 = rng.uniform(0, fnorm.a), rng.uniform(0, fnorm.a)
+                for got, d in zip(_jacobian(fnorm, k1, k2), partials):
+                    terms = _terms(d, Fraction(k1), Fraction(k2))
+                    assert abs(Fraction(got) - sum(terms)) <= Fraction(1e-12) * sum(map(abs, terms))
 
 
 class TestSimulateCost:

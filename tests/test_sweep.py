@@ -8,11 +8,10 @@ from pathlib import Path
 import pytest
 
 import lqnash.cli as cli
-from lqnash.solver import ConsistencyError
+from lqnash.solver import ConsistencyError, NashEquilibrium
 from lqnash.sweep import (
     AGrid,
     ConfigError,
-    EquilibriumRow,
     SweepOutputs,
     SweepRow,
     a_points,
@@ -106,7 +105,7 @@ class TestEmission:
         assert r2_col == sorted(r2_col, key=float)
 
     def test_rows_breaking_the_discriminant_law_are_refused(self):
-        eq = EquilibriumRow(k1=0.1, k2=0.2, a_cl=0.5, j1=1.0, j2=1.0)
+        eq = NashEquilibrium(k1=0.1, k2=0.2, a_cl=0.5, j1=1.0, j2=1.0, residual_norm=0.0, root_multiplicity=1)
         row = SweepRow(a=2.5, r2=1.5, delta=-1.0, delta_sign=-1, n_real_roots_g=5,
                        n_nash=3, equilibria=(eq, eq, eq))
         with pytest.raises(ConsistencyError, match=r"a=2\.5 r2=1\.5"):
