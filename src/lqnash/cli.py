@@ -16,16 +16,10 @@ import sys
 from fractions import Fraction
 
 from .exactalg import SturmSequence, UniPoly, isolate_real_roots, refine_root
-from .game import (
-    GameParams,
-    InvalidGameError,
-    TrivialGame,
-    cost,
-    normalize,
-    renormalize_equilibrium,
-)
+from .game import GameParams, cost, normalize, renormalize_equilibrium
 from .groebner import EliminationError, buchberger, elimination_polynomial
 from .oracle import (
+    GRID_DEFAULT,
     SharedComponentError,
     br_iteration,
     grid_scan,
@@ -33,8 +27,10 @@ from .oracle import (
     simulate_cost,
 )
 from .solver import (
+    G_SCALE,
     ConsistencyError,
     DegenerateGameError,
+    NashEquilibrium,
     SolveReport,
     build_g,
     solve,
@@ -47,6 +43,13 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 EXIT_DISAGREE = 4
+
+# verify's agreement tolerance between the solver and the float oracles
+VERIFY_TOL = 1e-6
+
+
+class InputError(Exception):
+    """Input rejected before any work; `main` prints it and exits 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,21 +110,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-def parse_number(text: str) -> Fraction:
-    """Rational if the text parses exactly, otherwise the exact value of the float."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ValueError(f"not a number: {text!r}") from exc
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
-    return Fraction(value)
-
-
 def format_poly(p: UniPoly, var: str = "k2") -> str:
     if p.is_zero:
         return "0"
@@ -160,11 +148,17 @@ def _add_game_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--x0", default="1")
 
 
-def _params_from_args(args, parser=parse_number) -> GameParams:
-    values = {}
-    for name in _GAME_FLAGS + _OPT_FLAGS:
-        values[name] = parser(getattr(args, name))
-    return GameParams(**values)
+def _game_from_args(args) -> GameParams:
+    """The command's validated game; only `solve` accepts the trivial game a = 0."""
+    try:
+        params = GameParams(**{name: parse_rational(getattr(args, name))
+                               for name in _GAME_FLAGS + _OPT_FLAGS})
+        params.validate()
+    except ValueError as exc:
+        raise InputError(f"invalid parameters: {exc}") from exc
+    if params.a == 0 and args.command != "solve":
+        raise InputError(f"{args.command} does not apply to the trivial game a = 0")
+    return params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="cross-check one game against all oracles")
     _add_game_flags(sp)
-    sp.add_argument("--grid-n", type=int, default=512)
-    sp.add_argument("--tol", type=float, default=1e-6)
 
     sp = sub.add_parser("groebner-check", help="re-derive the quintic with Buchberger")
     _add_game_flags(sp)
@@ -220,7 +212,7 @@ def solve_document(params: GameParams, report: SolveReport) -> dict:
         "params": _params_doc(params),
         "trivial": False,
         "g2_coefficients": [str(c) for c in report.g2.coeffs],
-        "g_scale": 2,
+        "g_scale": G_SCALE,
         "delta": {
             "exact": str(report.delta),
             "float": report.delta_float,
@@ -241,21 +233,13 @@ def solve_document(params: GameParams, report: SolveReport) -> dict:
 
 def trivial_document(params: GameParams) -> dict:
     x0sq = float(params.x0) ** 2
+    zero = NashEquilibrium(k1=0.0, k2=0.0, a_cl=0.0, j1=float(params.q1) * x0sq,
+                           j2=float(params.q2) * x0sq, residual_norm=0.0, root_multiplicity=1)
     return {
         "params": _params_doc(params),
         "trivial": True,
         "n_nash": 1,
-        "equilibria": [
-            {
-                "k1": 0.0,
-                "k2": 0.0,
-                "a_cl": 0.0,
-                "j1": float(params.q1) * x0sq,
-                "j2": float(params.q2) * x0sq,
-                "residual_norm": 0.0,
-                "root_multiplicity": 1,
-            }
-        ],
+        "equilibria": [_equilibrium_doc(zero)],
     }
 
 
@@ -272,23 +256,8 @@ def _print_table(doc: dict) -> None:
 
 
 def cmd_solve(args) -> int:
-    try:
-        params = _params_from_args(args)
-        params.validate()
-    except (ValueError, InvalidGameError) as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        report = solve(params)
-        doc = solve_document(params, report)
-    except TrivialGame:
-        doc = trivial_document(params)
-    except InvalidGameError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ConsistencyError, DegenerateGameError) as exc:
-        print(f"internal consistency error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    params = _game_from_args(args)
+    doc = trivial_document(params) if params.a == 0 else solve_document(params, solve(params))
     if args.format == "table":
         _print_table(doc)
     else:
@@ -302,20 +271,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        config = sweep_mod.load_config(args.config)
-    except ConfigError as exc:
-        print(f"invalid sweep config: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        rows = sweep_mod.run_sweep(config, threads=max(1, args.threads))
-        csv_text = sweep_mod.rows_to_csv(rows)
-    except TrivialGame:
-        print("invalid sweep config: a_grid includes a = 0", file=sys.stderr)
-        return EXIT_INVALID
-    except (ConsistencyError, DegenerateGameError) as exc:
-        print(f"internal consistency error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    config = sweep_mod.load_config(args.config)
+    rows = sweep_mod.run_sweep(config, threads=max(1, args.threads))
+    csv_text = sweep_mod.rows_to_csv(rows)
     sweep_mod.write_atomic(config.outputs.csv, csv_text)
     if config.outputs.svg:
         sweep_mod.write_atomic(config.outputs.svg, sweep_mod.render_svg(rows, config))
@@ -355,32 +313,18 @@ def _match_sets(found: list, expected: list, tol: float) -> tuple[bool, float, s
 
 
 def cmd_verify(args) -> int:
-    try:
-        params = _params_from_args(args)
-        params.validate()
-        if params.a == 0:
-            print("verify does not apply to the trivial game a = 0", file=sys.stderr)
-            return EXIT_INVALID
-    except (ValueError, InvalidGameError) as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    tol = args.tol
-    try:
-        report = solve(params)
-    except (ConsistencyError, DegenerateGameError) as exc:
-        print(f"internal consistency error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    params = _game_from_args(args)
+    report = solve(params)
     norm = normalize(params)
     solved = [renormalize_equilibrium(norm, (e.k1, e.k2)) for e in report.equilibria]
-    solved = [(float(k1), float(k2)) for k1, k2 in solved]
     a = float(norm.a)
     failures = []
     lines = [f"solve: {len(solved)} equilibrium(s), delta sign {report.delta_sign}"]
 
-    scanned = grid_scan(norm, args.grid_n)
-    ok, worst, detail = _match_sets(scanned, solved, tol)
+    scanned = grid_scan(norm, GRID_DEFAULT)
+    ok, worst, detail = _match_sets(scanned, solved, VERIFY_TOL)
     lines.append(
-        f"grid_scan(n={args.grid_n}): "
+        f"grid_scan(n={GRID_DEFAULT}): "
         + (f"agree ({len(scanned)} pairs, max deviation {worst:.3g})" if ok else f"DISAGREE: {detail}")
     )
     if not ok:
@@ -395,14 +339,14 @@ def cmd_verify(args) -> int:
         starts.append(min(max(base, 1e-12), a - 1e-12))
     converged = 0
     for s in starts:
-        res = br_iteration(norm, s, max_iter=500, tol=tol / 100.0)
+        res = br_iteration(norm, s, max_iter=500, tol=VERIFY_TOL / 100.0)
         if not res.converged:
             continue
         converged += 1
         best = min(
             (max(abs(res.k1 - e[0]), abs(res.k2 - e[1])) for e in solved), default=math.inf
         )
-        if best > 10 * tol:
+        if best > 10 * VERIFY_TOL:
             detail = f"fixed point ({res.k1:.9g}, {res.k2:.9g}) not among solved pairs"
             failures.append(("br_iteration", detail))
             lines.append(f"br_iteration: DISAGREE: {detail}")
@@ -418,7 +362,7 @@ def cmd_verify(args) -> int:
         ]
         for _, k2 in solved:
             best = min((abs(k2 - r) for r in res_roots), default=math.inf)
-            if best > tol:
+            if best > VERIFY_TOL:
                 detail = f"equilibrium k2 {k2:.9g} is not a resultant root (distance {best:.3g})"
                 failures.append(("resultant_elimination", detail))
                 lines.append(f"resultant_elimination: DISAGREE: {detail}")
@@ -468,23 +412,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_groebner_check(args) -> int:
-    try:
-        params = _params_from_args(args, parser=parse_rational)
-        params.validate()
-        if params.a == 0:
-            print("groebner-check does not apply to the trivial game a = 0", file=sys.stderr)
-            return EXIT_INVALID
-    except (ValueError, InvalidGameError) as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    norm = normalize(params)
+    norm = normalize(_game_from_args(args))
     direct = build_g(norm).monic()
-    try:
-        basis = buchberger(stationarity_system(norm))
-        eliminated = elimination_polynomial(basis)
-    except EliminationError as exc:
-        print(f"elimination failed: {exc}", file=sys.stderr)
-        return EXIT_DISAGREE
+    eliminated = elimination_polynomial(buchberger(stationarity_system(norm)))
     print(f"direct quintic:     {format_poly(direct)}")
     print(f"buchberger version: {format_poly(eliminated)}")
     if eliminated == direct:
@@ -495,6 +425,7 @@ def cmd_groebner_check(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; the exceptions it lets through map to exit codes here."""
     args = build_parser().parse_args(argv)
     handlers = {
         "solve": cmd_solve,
@@ -502,7 +433,18 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "groebner-check": cmd_groebner_check,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except InputError as exc:
+        message, code = str(exc), EXIT_INVALID
+    except ConfigError as exc:
+        message, code = f"invalid sweep config: {exc}", EXIT_INVALID
+    except (ConsistencyError, DegenerateGameError) as exc:
+        message, code = f"internal consistency error: {exc}", EXIT_INCONSISTENT
+    except EliminationError as exc:
+        message, code = f"elimination failed: {exc}", EXIT_DISAGREE
+    print(message, file=sys.stderr)
+    return code
 
 
 def console_main() -> None:

@@ -132,6 +132,9 @@ def _validate(config: SweepConfig) -> None:
         raise ConfigError("a_grid.count must be >= 1")
     if grid.spacing not in ("linear", "log"):
         raise ConfigError("a_grid.spacing must be 'linear' or 'log'")
+    # the last log point is min * (max / min), which can overflow though both are finite
+    if grid.spacing == "log" and not math.isfinite(grid.min * (grid.max / grid.min)):
+        raise ConfigError("a_grid.max / a_grid.min overflows a double under log spacing")
     if not config.r2_values:
         raise ConfigError("r2_values must be nonempty")
     if any(not v > 0 for v in config.r2_values):

@@ -3,16 +3,18 @@
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 
 import pytest
 
 import lqnash.cli as cli
 import lqnash.oracle as oracle
+import lqnash.sweep as sweep
 from lqnash.cli import canonical_dumps, main, parse_rational
 from lqnash.exactalg import isolate_real_roots
 from lqnash.game import normalize
-from lqnash.solver import fold_game, pitchfork_game
+from lqnash.solver import ConsistencyError, fold_game, pitchfork_game
 from lqnash.sweep import CSV_COLUMNS
 
 ALL_ONES = ["--a", "1", "--q1", "1", "--q2", "1", "--r1", "1", "--r2", "1"]
@@ -163,8 +165,11 @@ class TestSweepCommand:
             {"a_grid": {"min": 0.1, "max": math.inf, "count": 20}},
             {"a_grid": {"min": 0.1, "max": 3.9, "count": math.inf}},
             {"r2_values": [1.0, math.nan]},
+            {"a_grid": {"min": 1e-300, "max": 1e300, "count": 3, "spacing": "log"}},
+            {"a_grid": {"min": 3.0, "max": sys.float_info.max, "count": 3, "spacing": "log"}},
         ],
-        ids=["q1", "r1", "q2", "b1", "b2", "x0", "a_grid.max", "a_grid.count", "r2_values"],
+        ids=["q1", "r1", "q2", "b1", "b2", "x0", "a_grid.max", "a_grid.count", "r2_values",
+             "a_grid.log_ratio", "a_grid.log_end"],
     )
     def test_non_finite_number_exits_2_without_output(self, capsys, tmp_path, override):
         # json.dumps writes NaN and Infinity, and json.load reads them back
@@ -268,6 +273,46 @@ class TestGroebnerCheckCommand:
         )
         assert code == 2
         assert "not a rational number" in err
+
+
+def broken_solve(params):
+    raise ConsistencyError("planted failure")
+
+
+class TestInputGate:
+    """Every game command reads, validates and rejects its input the same way,
+    and `main` alone maps failures to exit codes."""
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "groebner-check"])
+    @pytest.mark.parametrize("text", ["inf", "nan", "0x1p3", "1/0", "pi"])
+    def test_unparsable_number_exits_2(self, capsys, command, text):
+        code, out, err = run_cli(capsys, [command, "--a", text, *ALL_ONES[2:]])
+        assert code == 2
+        assert out == ""
+        assert err == f"invalid parameters: not a rational number: {text!r}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "groebner-check"])
+    def test_trivial_game_outside_solve_exits_2(self, capsys, command):
+        code, out, err = run_cli(capsys, [command, "--a", "0", *ALL_ONES[2:]])
+        assert code == 2
+        assert out == ""
+        assert err == f"{command} does not apply to the trivial game a = 0\n"
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_consistency_error_exits_3(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "solve", broken_solve)
+        code, out, err = run_cli(capsys, [command, *ALL_ONES])
+        assert code == 3
+        assert out == ""
+        assert err == "internal consistency error: planted failure\n"
+
+    def test_sweep_consistency_error_exits_3_without_output(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(sweep, "solve", broken_solve)
+        path, _ = write_config(tmp_path)
+        code, _, err = run_cli(capsys, ["--threads", "1", "sweep", str(path)])
+        assert code == 3
+        assert err == "internal consistency error: planted failure\n"
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestMultipleRootGames:

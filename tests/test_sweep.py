@@ -1,6 +1,7 @@
 """Sweep configuration, grids, and emission invariants."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -121,20 +122,35 @@ class TestEmission:
         assert format_float(-5056.0) == "-5056"
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_figure_sweep(tmp_path, count=None) -> dict:
+    """The figure config through `cli.main` at one worker; the bytes it wrote."""
+    doc = json.loads((ROOT / "configs" / "figure_sweep.json").read_text(encoding="utf-8"))
+    if count is not None:
+        doc["a_grid"]["count"] = count
+    doc["outputs"] = {"csv": str(tmp_path / "out.csv"), "json": str(tmp_path / "out.json")}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["--quiet", "--threads", "1", "sweep", str(config)]) == 0
+    return {kind: (tmp_path / f"out.{kind}").read_bytes() for kind in ("csv", "json")}
+
+
 class TestGolden:
-    """The figure sweep at 50 grid points, byte for byte against committed output."""
+    """The figure sweep byte for byte against committed output."""
 
     def test_figure_sweep_matches_golden(self, tmp_path):
-        root = Path(__file__).resolve().parent.parent
-        data = root / "tests" / "data"
-        doc = json.loads((root / "configs" / "figure_sweep.json").read_text(encoding="utf-8"))
-        doc["a_grid"]["count"] = 50
-        doc["outputs"] = {
-            "csv": str(tmp_path / "figure_sweep_50.csv"),
-            "json": str(tmp_path / "figure_sweep_50.json"),
-        }
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc), encoding="utf-8")
-        assert cli.main(["--quiet", "sweep", str(config)]) == 0
-        for name in ("figure_sweep_50.csv", "figure_sweep_50.json"):
-            assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name
+        written = run_figure_sweep(tmp_path, count=50)
+        for kind in ("csv", "json"):
+            golden = ROOT / "tests" / "data" / f"figure_sweep_50.{kind}"
+            assert written[kind] == golden.read_bytes(), kind
+
+    def test_full_figure_sweep_matches_benchmark_golden(self, tmp_path):
+        # the full 400-point grid, against the digests the benchmark gates on
+        golden = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+        written = run_figure_sweep(tmp_path)
+        assert written["csv"].count(b"\n") == 1 + 400 * 4
+        for kind in ("csv", "json"):
+            digest = hashlib.sha256(written[kind]).hexdigest()
+            assert digest == golden["sweep_figure"][f"{kind}_sha256"], kind
