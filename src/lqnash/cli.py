@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -148,6 +149,27 @@ def _add_game_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--x0", default="1")
 
 
+# a value token that starts like a negative number: -1/2, -1e3, -.5
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """`--a -1/2` rewritten as `--a=-1/2`, for every game flag.
+
+    argparse reads a token that starts with '-' as an option unless it is a
+    plain integer or decimal, so `-1/2` or `-1e3` would leave the flag
+    without its value.
+    """
+    flags = {f"--{name}" for name in _GAME_FLAGS + _OPT_FLAGS}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in flags and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _game_from_args(args) -> GameParams:
     """The command's validated game; only `solve` accepts the trivial game a = 0."""
     try:
@@ -243,13 +265,15 @@ def trivial_document(params: GameParams) -> dict:
     }
 
 
+_TABLE_COLUMNS = (("k1", 18), ("k2", 18), ("a_cl", 14), ("j1", 16), ("j2", 16))
+
+
 def _print_table(doc: dict) -> None:
-    print(f"{'':>4}{'k1':>18}{'k2':>18}{'a_cl':>14}{'j1':>16}{'j2':>16}")
+    # a space before every column: a value may fill its whole field
+    print(f"{'':>4}" + "".join(f" {name:>{width}}" for name, width in _TABLE_COLUMNS))
     for i, e in enumerate(doc["equilibria"], 1):
-        print(
-            f"{i:>4}{format_float(e['k1']):>18}{format_float(e['k2']):>18}"
-            f"{format_float(e['a_cl']):>14}{format_float(e['j1']):>16}{format_float(e['j2']):>16}"
-        )
+        print(f"{i:>4}" + "".join(f" {format_float(e[name]):>{width}}"
+                                  for name, width in _TABLE_COLUMNS))
     if not doc.get("trivial"):
         print(f"delta = {doc['delta']['float']:.6g} (sign {doc['delta']['sign']}), "
               f"{doc['n_nash']} equilibrium(s)")
@@ -426,7 +450,8 @@ def cmd_groebner_check(args) -> int:
 
 def main(argv=None) -> int:
     """Run one command; the exceptions it lets through map to exit codes here."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     handlers = {
         "solve": cmd_solve,
         "sweep": cmd_sweep,

@@ -156,8 +156,9 @@ def _prem_int(a: list[int], b: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _signed_prs(ints: list[int]) -> tuple[list[list[int]], int]:
-    """Primitive integer chain, sign-proportional to the Sturm chain, and Res(p, p').
+def _signed_prs(ints: list[int], resultant: bool = True) -> tuple[list[list[int]], int | None]:
+    """Primitive integer chain, sign-proportional to the Sturm chain, and Res(p, p')
+    (None unless `resultant`).
 
     Every element equals a positive rational multiple of the corresponding
     classical chain element, so sign variation counts are unchanged.  For
@@ -180,7 +181,7 @@ def _signed_prs(ints: list[int]) -> tuple[list[list[int]], int]:
         da, db, lb = len(a) - 1, len(b) - 1, b[-1]
         r = _prem_int(a, b)  # lc(b)^(delta+1) * (a mod b)
         if not r:
-            return chain, 0
+            return chain, 0 if resultant else None
         # keep the sign of -(a mod b), as in the classical Sturm chain
         if lb > 0 or (da - db) % 2 == 1:
             r = [-c for c in r]
@@ -189,6 +190,8 @@ def _signed_prs(ints: list[int]) -> tuple[list[list[int]], int]:
         dr = len(r) - 1
         sign = (-1) ** (db * (da + 1)) * (-1 if lb < 0 and (da - dr) % 2 else 1)
         steps.append((sign * content**db, abs(lb), (da - dr) - (da - db + 1) * db))
+    if not resultant:
+        return chain, None
     # unwind from the constant end; every Res(a, b) is an integer, so each
     # division is exact and the numbers stay the size of the resultants
     res = chain[-1][0] ** (len(chain[-2]) - 1)
@@ -230,7 +233,8 @@ class SturmSequence:
     elements times that of g, so every sign variation count is unchanged.
     Each quotient of primitive polynomials is primitive (Gauss's lemma).
     `gcd` is the sequence of g, or None when `poly` is square-free: a root
-    of multiplicity m of p is a root of multiplicity m - 1 of g.
+    of multiplicity m of p is a root of multiplicity m - 1 of g.  Its
+    `discriminant` is None, since nothing reads one below the top level.
     """
 
     __slots__ = ("poly", "ints", "sf_ints", "chain", "square_free", "discriminant", "gcd")
@@ -242,18 +246,24 @@ class SturmSequence:
         ints, content = _int_primitive(p)
         chain, res = _signed_prs(ints)
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
-        self.poly = p
-        self.ints = ints
         # p = content * ints scales the discriminant by content^(2n-2)
         self.discriminant = sign * content ** (2 * n - 2) * Fraction(res, ints[-1])
+        self._attach_chain(p, ints, chain)
+
+    def _attach_chain(self, p: UniPoly, ints: list[int], chain: list[list[int]]) -> None:
+        self.poly = p
+        self.ints = ints
         self.square_free = len(chain[-1]) == 1
         if self.square_free:
             self.gcd = None
         else:
             g = chain[-1]
             chain = [_divexact_int(c, g) for c in chain]
-            # the degree drops at every level, so this recursion ends
-            self.gcd = SturmSequence(UniPoly(g))
+            # g is primitive already, so it is its own `ints`; the degree
+            # drops at every level, so this recursion ends
+            self.gcd = SturmSequence.__new__(SturmSequence)
+            self.gcd.discriminant = None
+            self.gcd._attach_chain(UniPoly(g), g, _signed_prs(g, resultant=False)[0])
         self.chain = chain
         self.sf_ints = chain[0]
 

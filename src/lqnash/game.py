@@ -199,13 +199,19 @@ def best_response(norm: NormalizedGame, i: int, k_other: float) -> BestResponseE
     unless k_other = a, where it is zero.
     """
     q, r = _player_weights(norm, i)
-    alpha = float(norm.a) - k_other
+    k_best, s, plus = best_gain(float(norm.a) - k_other, q, r)
+    return BestResponseEval(k_other=k_other, s_value=s, p_value=0.5 * plus, k_best=k_best)
+
+
+def best_gain(alpha: float, q: float, r: float) -> tuple[float, float, float]:
+    """(k_best, s, m + sqrt(s)) of a player with weights q, r facing the
+    open-loop gain alpha = a - k_other; `best_response` without the record,
+    for loops that hold the weights as floats already.
+    """
     m = (alpha * alpha - 1.0) * r + q
     s = m * m + 4.0 * q * r
     plus = _radical_sum(m, s)  # m + sqrt(s) > 0
-    p = 0.5 * plus
-    k_best = alpha * plus / (plus + 2.0 * r)
-    return BestResponseEval(k_other=k_other, s_value=s, p_value=p, k_best=k_best)
+    return alpha * plus / (plus + 2.0 * r), s, plus
 
 
 def residuals(norm: NormalizedGame, k1, k2):

@@ -8,6 +8,7 @@ second variable.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -74,16 +75,6 @@ class MultiPoly:
             return MultiPoly()
         return MultiPoly({monomial_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, Fraction(0)) + c
-            if v == 0:
-                out.pop(m, None)
-            else:
-                out[m] = v
-        return MultiPoly(out)
-
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -93,17 +84,6 @@ class MultiPoly:
             else:
                 out[m] = v
         return MultiPoly(out)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return MultiPoly(out)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly({m: -c for m, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiPoly) and self.terms == other.terms
@@ -127,50 +107,77 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(parts) + ")"
 
 
-def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Leading-term cancelling combination (L/lt(f)) f - (L/lt(g)) g."""
-    if f.is_zero or g.is_zero:
-        raise ValueError("s_polynomial requires nonzero polynomials")
-    lmf, lmg = f.leading_monomial(), g.leading_monomial()
-    lcm = monomial_lcm(lmf, lmg)
-    tf = f.term_mul(1 / f.leading_coefficient(), monomial_div(lcm, lmf))
-    tg = g.term_mul(1 / g.leading_coefficient(), monomial_div(lcm, lmg))
-    return tf - tg
+# The engine itself runs on primitive integer multiples of the polynomials,
+# as {monomial: int} dicts: scaling a polynomial by a nonzero constant moves
+# no leading monomial, so pair order, both criteria and every zero test take
+# the same course as over monic Fractions, without a gcd per coefficient
+# operation.  Only the final basis is made monic.
+IntTerms = dict[Monomial, int]
 
 
-def reduce(f: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
-    """Multivariate division remainder of f by the basis.
+def _primitive(terms: IntTerms) -> IntTerms:
+    g = math.gcd(*terms.values())
+    return terms if g == 1 else {m: c // g for m, c in terms.items()}
 
-    No term of the result is divisible by any basis leading monomial, and the
-    difference f - result lies in the ideal generated by the basis.
+
+def _integer_multiple(f: MultiPoly) -> IntTerms:
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    return _primitive({m: c.numerator * (den // c.denominator) for m, c in f.terms.items()})
+
+
+def _s_polynomial(f: IntTerms, lmf: Monomial, g: IntTerms, lmg: Monomial) -> IntTerms:
+    """Primitive part of the leading-term cancelling combination of f and g.
+
+    Cross-multiplies by the leading coefficients divided by their gcd, so
+    the result is a nonzero multiple of the monic S-polynomial, or zero.
     """
-    if any(g.is_zero for g in basis):
-        raise ValueError("reduce requires nonzero basis members")
-    lead = [(g.leading_monomial(), g) for g in basis]
-    rem: dict[Monomial, Fraction] = {}
-    work = dict(f.terms)
+    lcm = monomial_lcm(lmf, lmg)
+    d = math.gcd(f[lmf], g[lmg])
+    scale_f, scale_g = g[lmg] // d, f[lmf] // d
+    shift_f, shift_g = monomial_div(lcm, lmf), monomial_div(lcm, lmg)
+    out = {monomial_mul(m, shift_f): scale_f * c for m, c in f.items()}
+    for m, c in g.items():
+        t = monomial_mul(m, shift_g)
+        v = out.get(t, 0) - scale_g * c
+        if v:
+            out[t] = v
+        else:
+            out.pop(t, None)
+    return _primitive(out) if out else out
+
+
+def _reduce(f: IntTerms, lead: list[tuple[Monomial, IntTerms]]) -> IntTerms:
+    """Primitive part of a positive multiple of f's division remainder by
+    the (leading monomial, polynomial) pairs, by pseudo-division: before each
+    cancellation the remainder so far is scaled by lc(g) / gcd(c, lc(g)).
+    """
+    rem: IntTerms = {}
+    work = dict(f)
     while work:
         m = max(work)
         c = work.pop(m)
-        if c == 0:
-            continue
         for lm, g in lead:
             if monomial_divides(lm, m):
-                factor = c / g.leading_coefficient()
+                lc = g[lm]
+                d = math.gcd(c, lc) if lc > 0 else -math.gcd(c, lc)
+                scale, factor = lc // d, c // d
+                if scale != 1:
+                    work = {t: scale * v for t, v in work.items()}
+                    rem = {t: scale * v for t, v in rem.items()}
                 shift = monomial_div(m, lm)
-                for gm, gc in g.terms.items():
+                for gm, gc in g.items():
                     if gm == lm:
                         continue
                     t = monomial_mul(gm, shift)
-                    v = work.get(t, Fraction(0)) - factor * gc
-                    if v == 0:
-                        work.pop(t, None)
-                    else:
+                    v = work.get(t, 0) - factor * gc
+                    if v:
                         work[t] = v
+                    else:
+                        work.pop(t, None)
                 break
         else:
-            rem[m] = rem.get(m, Fraction(0)) + c
-    return MultiPoly(rem)
+            rem[m] = c
+    return _primitive(rem) if rem else rem
 
 
 def _pair_key(lmi: Monomial, lmj: Monomial) -> tuple:
@@ -185,20 +192,21 @@ def buchberger(system: list[MultiPoly]) -> list[MultiPoly]:
     the product and chain criteria; the output is autoreduced with monic
     leading coefficients and sorted by ascending leading monomial.
     """
-    basis = [f.monic() for f in system if not f.is_zero]
+    basis = [_integer_multiple(f) for f in system if not f.is_zero]
     if not basis:
         raise ValueError("buchberger requires a nonempty system of nonzero polynomials")
+    lms = [max(g) for g in basis]
     pending: set[tuple[int, int]] = set()
     for i in range(len(basis)):
         for j in range(i):
             pending.add((j, i))
 
     def chain_criterion(i: int, j: int) -> bool:
-        lcm = monomial_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
+        lcm = monomial_lcm(lms[i], lms[j])
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            if not monomial_divides(basis[k].leading_monomial(), lcm):
+            if not monomial_divides(lms[k], lcm):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -207,31 +215,26 @@ def buchberger(system: list[MultiPoly]) -> list[MultiPoly]:
         return False
 
     while pending:
-        i, j = min(
-            pending,
-            key=lambda p: _pair_key(
-                basis[p[0]].leading_monomial(), basis[p[1]].leading_monomial()
-            ),
-        )
+        i, j = min(pending, key=lambda p: _pair_key(lms[p[0]], lms[p[1]]))
         pending.discard((i, j))
-        lmi, lmj = basis[i].leading_monomial(), basis[j].leading_monomial()
+        lmi, lmj = lms[i], lms[j]
         if monomial_lcm(lmi, lmj) == monomial_mul(lmi, lmj):
             continue  # product criterion: coprime leading monomials
         if chain_criterion(i, j):
             continue
-        r = reduce(s_polynomial(basis[i], basis[j]), basis)
-        if r.is_zero:
+        r = _reduce(_s_polynomial(basis[i], lmi, basis[j], lmj), list(zip(lms, basis)))
+        if not r:
             continue
-        basis.append(r.monic())
+        basis.append(r)
+        lms.append(max(r))
         new = len(basis) - 1
         for k in range(new):
             pending.add((k, new))
 
-    return _autoreduce(basis)
+    return _autoreduce(basis, lms)
 
 
-def _autoreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
-    lms = [g.leading_monomial() for g in basis]
+def _autoreduce(basis: list[IntTerms], lms: list[Monomial]) -> list[MultiPoly]:
     minimal = []
     for i, g in enumerate(basis):
         if any(
@@ -240,13 +243,14 @@ def _autoreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
             for j in range(len(basis))
         ):
             continue
-        minimal.append(g)
+        minimal.append((lms[i], g))
     reduced = []
-    for i, g in enumerate(minimal):
+    for i, (_, g) in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = reduce(g, others) if others else g
-        if not r.is_zero:
-            reduced.append(r.monic())
+        r = _reduce(g, others) if others else g
+        if r:
+            lc = r[max(r)]
+            reduced.append(MultiPoly({m: Fraction(c, lc) for m, c in r.items()}))
     reduced.sort(key=lambda g: g.leading_monomial())
     return reduced
 

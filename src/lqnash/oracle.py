@@ -12,7 +12,7 @@ from fractions import Fraction
 from .exactalg import UniPoly
 from .game import (
     NormalizedGame,
-    best_response,
+    best_gain,
     closed_loop,
     float_game,
     residuals,
@@ -20,6 +20,11 @@ from .game import (
 from .solver import stationarity_system
 
 GRID_DEFAULT = 512
+# grid_scan evaluates the residual surfaces this many cell rows at a time:
+# each float temporary of a block then holds 65 x 513 doubles, about 260 KB,
+# which stays in cache, where whole 513 x 513 surfaces would spill about ten
+# 2 MB temporaries to memory.  Every cell's flag is the same bit either way.
+GRID_BLOCK_ROWS = 64
 NEWTON_MAX_ITER = 50
 DEDUP_TOL = 1e-6
 
@@ -48,14 +53,15 @@ def br_iteration(
         raise ValueError("max_iter must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    norm = float_game(norm)
+    fnorm = float_game(norm)
+    a, q1, r1, q2, r2 = fnorm.a, fnorm.q1, fnorm.r1, fnorm.q2, fnorm.r2
     x = float(k_start)
     for it in range(1, max_iter + 1):
-        nxt = best_response(norm, 1, best_response(norm, 2, x).k_best).k_best
+        nxt = best_gain(a - best_gain(a - x, q2, r2)[0], q1, r1)[0]
         if abs(nxt - x) < tol:
-            return BrIterationResult(True, nxt, best_response(norm, 2, nxt).k_best, it)
+            return BrIterationResult(True, nxt, best_gain(a - nxt, q2, r2)[0], it)
         x = nxt
-    return BrIterationResult(False, x, best_response(norm, 2, x).k_best, max_iter)
+    return BrIterationResult(False, x, best_gain(a - x, q2, r2)[0], max_iter)
 
 
 def _residual_scale(fnorm: NormalizedGame) -> float:
@@ -118,13 +124,12 @@ def grid_scan(norm: NormalizedGame, n: int = GRID_DEFAULT) -> list[tuple[float, 
     fnorm = float_game(norm)
     a = fnorm.a
     xs = a * np.arange(0, n + 1) / n
-    R1, R2 = residuals(fnorm, xs[:, None], xs[None, :])
-    flagged = np.argwhere(_straddles_zero(R1) & _straddles_zero(R2))
+    nodes = xs.tolist()
     candidates: list[tuple[float, float]] = []
-    for i, j in flagged:
-        c1 = 0.5 * (xs[i] + xs[i + 1])
-        c2 = 0.5 * (xs[j] + xs[j + 1])
-        polished = _newton_polish(fnorm, float(c1), float(c2))
+    for i, j in _flagged_cells(fnorm, xs):
+        c1 = 0.5 * (nodes[i] + nodes[i + 1])
+        c2 = 0.5 * (nodes[j] + nodes[j + 1])
+        polished = _newton_polish(fnorm, c1, c2)
         if polished is None:
             continue
         k1, k2 = polished
@@ -134,6 +139,19 @@ def grid_scan(norm: NormalizedGame, n: int = GRID_DEFAULT) -> list[tuple[float, 
             continue
         candidates.append((k1, k2))
     return _dedup(fnorm, candidates)
+
+
+def _flagged_cells(fnorm: NormalizedGame, xs) -> list[tuple[int, int]]:
+    """Row-major (i, j) of the cells of the node grid xs x xs where both
+    residual surfaces straddle zero, evaluated GRID_BLOCK_ROWS cell rows at
+    a time."""
+    flagged = []
+    for top in range(0, len(xs) - 1, GRID_BLOCK_ROWS):
+        # cell rows top .. top + GRID_BLOCK_ROWS - 1 span one more node row
+        R1, R2 = residuals(fnorm, xs[top:top + GRID_BLOCK_ROWS + 1, None], xs[None, :])
+        rows, cols = (_straddles_zero(R1) & _straddles_zero(R2)).nonzero()
+        flagged.extend(zip((rows + top).tolist(), cols.tolist()))
+    return flagged
 
 
 def _straddles_zero(R):

@@ -11,7 +11,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -184,6 +183,10 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> list[SweepRow]:
         for a in a_points(config.a_grid)
     ]
     if threads > 1:
+        # imported here, its only use: loading the process pool machinery
+        # costs every `import lqnash.cli` about 2.5 MB of memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_row_for_point, tasks, chunksize=32))
     else:

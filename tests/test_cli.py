@@ -107,6 +107,27 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, ["solve", *ALL_ONES, "--format", "table"])
         assert code == 0
         assert "k1" in out and "0.355415726776" in out
+        # a_cl = 0.289168546448 fills its whole field; it must not run into k2
+        header, *rows, summary = out.splitlines()
+        assert header.split() == ["k1", "k2", "a_cl", "j1", "j2"]
+        assert rows and summary.startswith("delta = ")
+        for row in rows:
+            assert len(row.split()) == 6, row
+
+    @pytest.mark.parametrize("flag", ["--a", "--b1", "--x0"])
+    @pytest.mark.parametrize("value", ["-1/2", "-1e3", "-0.5"])
+    def test_negative_value_as_separate_argument(self, capsys, flag, value):
+        game = dict(zip(ALL_ONES[::2], ALL_ONES[1::2]))
+        game[flag] = value
+        separate = ["solve"] + [arg for item in game.items() for arg in item]
+        joined = ["solve"] + [f"{name}={v}" for name, v in game.items()]
+        args = cli.build_parser().parse_args(cli._attach_negative_values(separate))
+        assert getattr(args, flag[2:]) == value
+        # read exactly as the `--flag=value` form; a = -1000 reaches open
+        # item 1's large-a residual check (exit 3) either way
+        result = run_cli(capsys, separate)
+        assert result == run_cli(capsys, joined)
+        assert result[0] != cli.EXIT_INVALID, result[2]
 
 
 class TestSweepCommand:

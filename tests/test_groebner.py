@@ -8,16 +8,10 @@ import pytest
 
 from lqnash.exactalg import UniPoly
 from lqnash.game import GameParams, normalize
-from lqnash.groebner import (
-    EliminationError,
-    MultiPoly,
-    buchberger,
-    elimination_polynomial,
-    reduce,
-    s_polynomial,
-)
+from lqnash.groebner import EliminationError, MultiPoly, buchberger, elimination_polynomial
 from lqnash.solver import build_g, stationarity_system
-from reference_algebra import lex_compare
+from reference_algebra import buchberger as fraction_buchberger
+from reference_algebra import lex_compare, reduce, s_polynomial
 
 K1 = MultiPoly({(1, 0): 1})
 K2 = MultiPoly({(0, 1): 1})
@@ -132,6 +126,19 @@ class TestBuchberger:
                     assert reduce(s_polynomial(basis[i], basis[j]), basis).is_zero
             assert buchberger(basis) == basis
             certified += 1
+
+    def test_same_basis_as_the_fraction_engine(self):
+        rng = random.Random(31)
+        systems = [stationarity_system(normalize(random_rational_game(rng))) for _ in range(30)]
+        while len(systems) < 330:
+            system = [MultiPoly({(rng.randint(0, 2), rng.randint(0, 3)):
+                                 Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                 for _ in range(rng.randint(2, 6))})
+                      for _ in range(rng.randint(1, 3))]
+            if any(not p.is_zero for p in system):
+                systems.append(system)
+        for system in systems:
+            assert buchberger(system) == fraction_buchberger(system), system
 
     def test_remainder_terms_not_divisible_by_basis_leads(self):
         rng = random.Random(909)

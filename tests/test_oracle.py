@@ -20,6 +20,7 @@ from lqnash.game import (
 )
 from lqnash.groebner import MultiPoly
 from lqnash.oracle import (
+    _flagged_cells,
     _jacobian,
     _straddles_zero,
     br_iteration,
@@ -28,6 +29,9 @@ from lqnash.oracle import (
     simulate_cost,
 )
 from lqnash.solver import build_g, solve, stationarity_system
+from reference_algebra import br_iteration as record_br_iteration
+from reference_algebra import flagged_cells as unblocked_flagged_cells
+from reference_algebra import grid_scan as unblocked_grid_scan
 from reference_algebra import h_eval, poly_eval, poly_gcd, resultant
 
 ALL_ONES = GameParams(a=1, q1=1, q2=1, r1=1, r2=1)
@@ -139,6 +143,17 @@ class TestBrIteration:
             for start in (0.0, 0.3 * a, 0.7 * a, a):
                 assert br_iteration(norm, start) == br_iteration(float_game(norm), start)
 
+    def test_same_bits_as_a_loop_of_best_response_calls(self):
+        rng = random.Random(25)
+        games = [random_float_game(rng) for _ in range(40)] + small_rational_games(26, 20)
+        for params in games:
+            norm = normalize(params)
+            a = float(norm.a)
+            for start in (0.0, rng.uniform(0, a), a):
+                for max_iter, tol in ((200, 1e-12), (500, 1e-8), (3, 1e-12)):
+                    assert (br_iteration(norm, start, max_iter, tol)
+                            == record_br_iteration(norm, start, max_iter, tol)), params
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             br_iteration(normalize(ALL_ONES), 0.0, max_iter=0)
@@ -179,6 +194,19 @@ class TestGridScan:
     @pytest.mark.parametrize("params", SLOW_RATIONAL_GAMES)
     def test_output_matches_solve_on_formerly_slow_games(self, params):
         assert_scan_matches_solve(params)
+
+    @pytest.mark.parametrize("n", [16, 100, 512, 700])
+    def test_row_blocks_give_the_whole_surface_result(self, n):
+        # 16 is below one block, 512 a whole number of blocks, 100 and 700
+        # end in a short block
+        rng = random.Random(27)
+        games = small_rational_games(28, 3) + [random_float_game(rng) for _ in range(3)]
+        for params in games + [GameParams(a=3.8, q1=0.5, q2=1, r1=1, r2=1)]:
+            norm = normalize(params)
+            fnorm = float_game(norm)
+            xs = fnorm.a * np.arange(0, n + 1) / n
+            assert _flagged_cells(fnorm, xs) == unblocked_flagged_cells(fnorm, xs), params
+            assert grid_scan(norm, n) == unblocked_grid_scan(norm, n), params
 
     def test_fraction_input_runs_on_its_float_image(self):
         for params in small_rational_games(23, 5) + SLOW_RATIONAL_GAMES:

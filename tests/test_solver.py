@@ -292,3 +292,15 @@ def test_cli_solve_does_not_load_numpy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_solve_does_not_load_the_process_pool():
+    # only a sweep with more than one worker needs it
+    code = (
+        "import sys, lqnash.cli; "
+        "assert lqnash.cli.main(['solve', '--a', '1', '--q1', '1', '--q2', '1', '--r1', '1', "
+        "'--r2', '1']) == 0; "
+        "assert 'concurrent.futures.process' not in sys.modules, 'process pool imported'"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
