@@ -15,7 +15,7 @@ from lqnash.groebner import (
     monomial_lcm,
     monomial_mul,
 )
-from lqnash.oracle import BrIterationResult, _dedup, _newton_polish, _straddles_zero
+from lqnash.oracle import BrIterationResult, _dedup, _newton_polish
 
 
 def from_roots(roots: list[RationalLike]) -> UniPoly:
@@ -292,13 +292,22 @@ def _autoreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
 
 
 # The float oracles as lqnash ran them before their fast paths: the residual
-# surfaces as two whole (n + 1) x (n + 1) arrays, and best-response
+# surfaces as two whole (n + 1) x (n + 1) numpy arrays, and best-response
 # iteration through `best_response` records.
 
 
-def flagged_cells(fnorm: NormalizedGame, xs) -> list[tuple[int, int]]:
+def straddles_zero(R):
+    """Cells of the node grid R whose four corners are not all > 0 or all < 0."""
+    pos, neg = R > 0, R < 0
+    pos = pos[:-1] & pos[1:]
+    neg = neg[:-1] & neg[1:]
+    return ~((pos[:, :-1] & pos[:, 1:]) | (neg[:, :-1] & neg[:, 1:]))
+
+
+def flagged_cells(fnorm: NormalizedGame, nodes) -> list[tuple[int, int]]:
+    xs = np.asarray(nodes, dtype=float)
     R1, R2 = residuals(fnorm, xs[:, None], xs[None, :])
-    return [(i, j) for i, j in np.argwhere(_straddles_zero(R1) & _straddles_zero(R2)).tolist()]
+    return [(i, j) for i, j in np.argwhere(straddles_zero(R1) & straddles_zero(R2)).tolist()]
 
 
 def grid_scan(norm: NormalizedGame, n: int) -> list[tuple[float, float]]:

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqnash.exactalg import UniPoly, sturm_count
 from lqnash.game import (
@@ -20,19 +22,20 @@ from lqnash.game import (
 )
 from lqnash.groebner import MultiPoly
 from lqnash.oracle import (
+    _box_sign,
     _flagged_cells,
     _jacobian,
-    _straddles_zero,
+    _underflow_floor,
     br_iteration,
     grid_scan,
     resultant_elimination,
     simulate_cost,
 )
-from lqnash.solver import build_g, solve, stationarity_system
+from lqnash.solver import build_g, fold_game, pitchfork_game, solve, stationarity_system
 from reference_algebra import br_iteration as record_br_iteration
 from reference_algebra import flagged_cells as unblocked_flagged_cells
 from reference_algebra import grid_scan as unblocked_grid_scan
-from reference_algebra import h_eval, poly_eval, poly_gcd, resultant
+from reference_algebra import h_eval, poly_eval, poly_gcd, resultant, straddles_zero
 
 ALL_ONES = GameParams(a=1, q1=1, q2=1, r1=1, r2=1)
 SYMMETRIC_K = 0.3554157267758450
@@ -71,6 +74,11 @@ SLOW_RATIONAL_GAMES = [
     GameParams(a=Fraction(171, 22), q1=Fraction(207, 4), q2=Fraction(14),
                r1=Fraction(377, 6), r2=Fraction(129, 70)),
 ]
+
+
+def grid_nodes(fnorm, n):
+    """The nodes of grid_scan's n x n cell grid, as grid_scan computes them."""
+    return [fnorm.a * i / n for i in range(n + 1)]
 
 
 def assert_scan_matches_solve(params, n=512):
@@ -197,14 +205,14 @@ class TestGridScan:
 
     @pytest.mark.parametrize("n", [16, 100, 512, 700])
     def test_row_blocks_give_the_whole_surface_result(self, n):
-        # 16 is below one block, 512 a whole number of blocks, 100 and 700
-        # end in a short block
+        # the box descent ends in leaves of 2 cells a side at 16 and 512,
+        # and of 2 or 3 at 100 and 700
         rng = random.Random(27)
         games = small_rational_games(28, 3) + [random_float_game(rng) for _ in range(3)]
         for params in games + [GameParams(a=3.8, q1=0.5, q2=1, r1=1, r2=1)]:
             norm = normalize(params)
             fnorm = float_game(norm)
-            xs = fnorm.a * np.arange(0, n + 1) / n
+            xs = grid_nodes(fnorm, n)
             assert _flagged_cells(fnorm, xs) == unblocked_flagged_cells(fnorm, xs), params
             assert grid_scan(norm, n) == unblocked_grid_scan(norm, n), params
 
@@ -218,8 +226,8 @@ class TestGridScan:
         R = rng.integers(-1, 2, size=(40, 40)).astype(float)
         corners = np.stack([R[:-1, :-1], R[1:, :-1], R[:-1, 1:], R[1:, 1:]])
         expected = ~((corners > 0).all(axis=0) | (corners < 0).all(axis=0))
-        assert np.array_equal(_straddles_zero(R), expected)
-        assert _straddles_zero(np.array([[0.0, 1.0], [1.0, 1.0]]))[0, 0]
+        assert np.array_equal(straddles_zero(R), expected)
+        assert straddles_zero(np.array([[0.0, 1.0], [1.0, 1.0]]))[0, 0]
 
     def test_ordered_by_k2(self):
         pts = grid_scan(normalize(GameParams(a=3.8, q1=0.5, q2=1, r1=1, r2=1)), 128)
@@ -228,6 +236,89 @@ class TestGridScan:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             grid_scan(normalize(ALL_ONES), 8)
+
+
+def wide_float_game(rng) -> GameParams:
+    a = 0.0
+    while a == 0.0:
+        a = rng.uniform(-50, 50)
+    q1, q2, r1, r2 = (10 ** rng.uniform(-3, 3) for _ in range(4))
+    return GameParams(a=a, q1=q1, q2=q2, r1=r1, r2=r2)
+
+
+weights = st.floats(-3, 3).map(lambda e: 10**e)
+rationals = st.fractions(min_value=Fraction(1, 100), max_value=400, max_denominator=100)
+MULTIPLE_ROOT_GAMES = [
+    fold_game(Fraction(1, 2), Fraction(1, 2))[0],
+    fold_game(Fraction(3, 10), Fraction(7, 4), Fraction(2))[0],
+    pitchfork_game(Fraction(3, 4))[0],
+    pitchfork_game(Fraction(5, 12), Fraction(7, 3))[0],
+]
+scan_games = st.one_of(
+    st.builds(GameParams, a=st.floats(-50, 50).filter(lambda a: a != 0),
+              q1=weights, q2=weights, r1=weights, r2=weights),
+    st.builds(GameParams, a=rationals, q1=rationals, q2=rationals, r1=rationals, r2=rationals),
+    st.sampled_from(MULTIPLE_ROOT_GAMES),
+)
+# Both residual surfaces of this game are too close to overflow to bound.
+UNBOUNDED_GAME = GameParams(a=1, q1=1e308, q2=1e308, r1=1, r2=1)
+
+
+class TestBoxDescent:
+    """`_flagged_cells` drops boxes of cells by `_box_sign` and must flag
+    exactly the cells the whole-surface evaluation flags."""
+
+    def test_box_sign_is_sound(self):
+        # whenever the box bound reports a strict sign, every node of the
+        # box has a float residual of that sign
+        rng = random.Random(41)
+        decided = {1: 0, -1: 0}
+        for g in range(60):
+            params = wide_float_game(rng) if g % 2 else random_rational_game(rng)
+            fnorm = float_game(normalize(params))
+            n = rng.choice([16, 100, 512])
+            nodes = grid_nodes(fnorm, n)
+            betas = [fnorm.a - k for k in nodes]
+            near = _flagged_cells(fnorm, nodes)
+            for _ in range(60):
+                width = rng.choice([1, 2, 3, 6, 12, 40])
+                if near and rng.random() < 0.5:
+                    i, j = rng.choice(near)
+                    i0, j0 = max(0, i - rng.randrange(width)), max(0, j - rng.randrange(width))
+                else:
+                    i0, j0 = rng.randrange(n), rng.randrange(n)
+                i1, j1 = min(n, i0 + rng.randint(1, width)), min(n, j0 + rng.randint(1, width))
+                values = [residuals(fnorm, nodes[i], nodes[j])
+                          for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
+                for m, (r, q, kl, kh, bl, bh) in enumerate((
+                    (fnorm.r1, fnorm.q1, nodes[i0], nodes[i1], betas[j1], betas[j0]),
+                    (fnorm.r2, fnorm.q2, nodes[j0], nodes[j1], betas[i1], betas[i0]),
+                )):
+                    floor = _underflow_floor(fnorm.a, r, q, r + q, nodes[n])
+                    assert floor is not None
+                    sign = _box_sign(r, q, r + q, floor, kl, kh, bl, bh)
+                    if sign:
+                        decided[sign] += 1
+                        assert all(v[m] * sign > 0 for v in values), (params, n, i0, i1, j0, j1, m)
+        assert min(decided.values()) > 500, decided
+
+    @settings(max_examples=60, deadline=None)
+    @given(scan_games, st.sampled_from([16, 100, 512, 700]))
+    def test_flags_equal_the_whole_surface_scan(self, params, n):
+        fnorm = float_game(normalize(params))
+        nodes = grid_nodes(fnorm, n)
+        assert nodes == (fnorm.a * np.arange(0, n + 1) / n).tolist()
+        assert _flagged_cells(fnorm, nodes) == unblocked_flagged_cells(fnorm, nodes)
+
+    @pytest.mark.parametrize("n", [16, 100, 512, 700])
+    def test_unbounded_game_descends_without_pruning(self, n):
+        fnorm = float_game(normalize(UNBOUNDED_GAME))
+        nodes = grid_nodes(fnorm, n)
+        for r, q in ((fnorm.r1, fnorm.q1), (fnorm.r2, fnorm.q2)):
+            assert _underflow_floor(fnorm.a, r, q, r + q, nodes[n]) is None
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = unblocked_flagged_cells(fnorm, nodes)
+        assert _flagged_cells(fnorm, nodes) == expected
 
 
 class TestResultantElimination:

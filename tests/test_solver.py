@@ -283,13 +283,39 @@ def test_import_lqnash_does_not_load_numpy():
 
 
 def test_cli_solve_does_not_load_numpy():
-    # only the grid-scan oracle of `verify` needs numpy
+    # lqnash uses no numpy anywhere; see also the test that blocks its import
     code = (
         "import sys, lqnash.cli; "
         "assert lqnash.cli.main(['solve', '--a', '1', '--q1', '1', '--q2', '1', '--r1', '1', "
         "'--r2', '1']) == 0; "
         "assert 'numpy' not in sys.modules, 'numpy imported'"
     )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_oracles_run_where_numpy_cannot_be_imported():
+    # None in sys.modules makes every `import numpy` raise ImportError
+    code = """
+import sys
+sys.modules["numpy"] = None
+import contextlib, io
+from fractions import Fraction
+from lqnash.cli import main
+from lqnash.game import GameParams, normalize
+from lqnash.oracle import grid_scan
+from lqnash.solver import fold_game
+fold = fold_game(Fraction(1, 2), Fraction(1, 2))[0]
+for game in (GameParams(a=1, q1=1, q2=1, r1=1, r2=1), fold):
+    flags = [arg for name in ("a", "q1", "q2", "r1", "r2")
+             for arg in ("--" + name, str(getattr(game, name)))]
+    for command, verdict in (("verify", "VERDICT: PASS"), ("groebner-check", "PASS:")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, *flags]) == 0, (command, game)
+        assert verdict in out.getvalue(), (command, game, out.getvalue())
+    assert grid_scan(normalize(game), 16)
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
