@@ -8,6 +8,7 @@ second variable.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -196,10 +197,11 @@ def buchberger(system: list[MultiPoly]) -> list[MultiPoly]:
     if not basis:
         raise ValueError("buchberger requires a nonempty system of nonzero polynomials")
     lms = [max(g) for g in basis]
-    pending: set[tuple[int, int]] = set()
-    for i in range(len(basis)):
-        for j in range(i):
-            pending.add((j, i))
+    # the pairs not yet processed: a set for the chain criterion, and a heap
+    # in processing order
+    pending = {(j, i) for i in range(len(basis)) for j in range(i)}
+    queue = [(_pair_key(lms[i], lms[j]), i, j) for i, j in pending]
+    heapq.heapify(queue)
 
     def chain_criterion(i: int, j: int) -> bool:
         lcm = monomial_lcm(lms[i], lms[j])
@@ -214,8 +216,8 @@ def buchberger(system: list[MultiPoly]) -> list[MultiPoly]:
                 return True
         return False
 
-    while pending:
-        i, j = min(pending, key=lambda p: _pair_key(lms[p[0]], lms[p[1]]))
+    while queue:
+        _, i, j = heapq.heappop(queue)
         pending.discard((i, j))
         lmi, lmj = lms[i], lms[j]
         if monomial_lcm(lmi, lmj) == monomial_mul(lmi, lmj):
@@ -230,6 +232,7 @@ def buchberger(system: list[MultiPoly]) -> list[MultiPoly]:
         new = len(basis) - 1
         for k in range(new):
             pending.add((k, new))
+            heapq.heappush(queue, (_pair_key(lms[k], lms[new]), k, new))
 
     return _autoreduce(basis, lms)
 

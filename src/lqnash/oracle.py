@@ -1,6 +1,6 @@
-"""Brute-force verification paths that never touch the elimination quintic:
-best-response iteration, residual grid scanning with Newton polish, direct
-resultant elimination, and trajectory cost simulation.
+"""Brute-force verification paths: best-response iteration, residual grid
+scanning with Newton polish, direct resultant elimination, and trajectory
+cost simulation.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ _UNDERFLOW_SLACK = 2.0**-1060
 _HEADROOM = 2.0**1020
 NEWTON_MAX_ITER = 50
 DEDUP_TOL = 1e-6
-
-
-class SharedComponentError(Exception):
-    """The two residual cubics share a component (resultant identically zero)."""
 
 
 @dataclass(frozen=True)
@@ -314,31 +310,43 @@ def _dedup(fnorm: NormalizedGame, candidates: list[tuple[float, float]]) -> list
 def resultant_elimination(norm: NormalizedGame) -> UniPoly:
     """Eliminate k1 from the two residual cubics by a direct resultant.
 
-    The result is a univariate polynomial in k2 of degree at most nine whose
-    roots include every equilibrium k2; computed exactly over rationals from
-    the same stationarity system the Buchberger engine triangularizes.
+    The result is a polynomial in k2 whose roots include every equilibrium
+    k2, computed exactly from the same stationarity system the Buchberger
+    engine triangularizes; it is the solver's quintic `build_g` itself.
+    Each cubic is scaled to integers by the common denominator D of its
+    coefficients; the determinant is homogeneous of degree two in each
+    cubic, so one exact division by (D1 D2)^2 undoes the scaling.
     """
     p1, p2 = stationarity_system(norm)
-    a2, a1, a0 = _k1_coefficients(p1)
-    b2, b1, b0 = _k1_coefficients(p2)
-    # the 4x4 Sylvester determinant of two quadratics in k1, in closed form
-    c = a2 * b0 - a0 * b2
-    res = c * c - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1)
-    if res.is_zero:
-        raise SharedComponentError("residual cubics share a component")
-    return res
+    d1, (a2, a1, a0) = _k1_integer_coefficients(p1)
+    d2, (b2, b1, b0) = _k1_integer_coefficients(p2)
+    # the 4x4 Sylvester determinant of two quadratics in k1, in closed form:
+    # (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1)
+    c = _det2(a2, a0, b2, b0)
+    res = _det2(c, _det2(a2, a1, b2, b1), _det2(a1, a0, b1, b0), c)
+    scale = (d1 * d2) ** 2
+    return UniPoly(Fraction(v, scale) for v in res)
 
 
-def _k1_coefficients(p) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """The coefficients of k1^2, k1 and 1 in p, each a polynomial in k2.
-
-    Both residuals are quadratic in each gain, so three by three slots hold
-    every term of the MultiPoly (exponent pairs are (k1, k2)).
-    """
-    by_power = [[Fraction(0)] * 3 for _ in range(3)]
+def _k1_integer_coefficients(p) -> tuple[int, list[list[int]]]:
+    """The common denominator D of p's coefficients, and the coefficients of
+    k1^2, k1 and 1 in D p as integer lists in ascending powers of k2 (both
+    residuals are quadratic in each gain; exponent pairs are (k1, k2))."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    by_power = [[0] * 3 for _ in range(3)]
     for (i, j), c in p.terms.items():
-        by_power[i][j] = c
-    return UniPoly(by_power[2]), UniPoly(by_power[1]), UniPoly(by_power[0])
+        by_power[i][j] = c.numerator * (den // c.denominator)
+    return den, by_power[::-1]
+
+
+def _det2(x: list[int], y: list[int], u: list[int], v: list[int]) -> list[int]:
+    """x v - y u for integer polynomials in k2, with len(x) == len(y) and
+    len(u) == len(v)."""
+    out = [0] * (len(x) + len(v) - 1)
+    for i in range(len(x)):
+        for j in range(len(v)):
+            out[i + j] += x[i] * v[j] - y[i] * u[j]
+    return out
 
 
 class TrajectorySample(NamedTuple):

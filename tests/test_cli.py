@@ -12,9 +12,9 @@ import lqnash.cli as cli
 import lqnash.oracle as oracle
 import lqnash.sweep as sweep
 from lqnash.cli import canonical_dumps, main, parse_rational
-from lqnash.exactalg import isolate_real_roots
-from lqnash.game import normalize
-from lqnash.solver import ConsistencyError, fold_game, pitchfork_game
+from lqnash.exactalg import UniPoly, isolate_real_roots
+from lqnash.game import exact_game, normalize
+from lqnash.solver import ConsistencyError, build_g, fold_game, pitchfork_game
 from lqnash.sweep import CSV_COLUMNS
 
 ALL_ONES = ["--a", "1", "--q1", "1", "--q2", "1", "--r1", "1", "--r2", "1"]
@@ -263,6 +263,16 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, ["verify", *ALL_ONES])
         assert code == 4
         assert "DISAGREE" in out
+
+    def test_resultant_off_the_quintic_fails(self, capsys, monkeypatch):
+        # the quintic's degree, but another constant term
+        monkeypatch.setattr(cli, "resultant_elimination",
+                            lambda norm: build_g(exact_game(norm)) + UniPoly([1]))
+        code, out, _ = run_cli(capsys, ["verify", *ALL_ONES])
+        assert code == 4
+        detail = "the resultant is not the solver's quintic"
+        assert f"resultant_elimination: DISAGREE: {detail}" in out.splitlines()
+        assert out.splitlines()[-1] == f"VERDICT: FAIL (resultant_elimination: {detail})"
 
 
 class TestGroebnerCheckCommand:

@@ -321,7 +321,51 @@ class TestBoxDescent:
         assert _flagged_cells(fnorm, nodes) == expected
 
 
+signed_rationals = st.fractions(min_value=-400, max_value=400, max_denominator=100).filter(bool)
+input_gains = st.one_of(st.just(Fraction(1)),
+                        st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(bool))
+
+
+@st.composite
+def fold_games(draw):
+    """fold_game at every valid (c, k1): with cap = (1 - c^2) / c, the
+    tangency partner k2 stays in (0, cap) exactly when k1 lies strictly
+    between cap / (3 + c^2) and cap."""
+    c = Fraction(draw(st.integers(1, 39)), 40)
+    cap = (1 - c * c) / c
+    low = cap / (3 + c * c)
+    k1 = low + Fraction(draw(st.integers(1, 63)), 64) * (cap - low)
+    return fold_game(c, k1, draw(rationals))[0]
+
+
+@st.composite
+def pitchfork_games(draw):
+    """pitchfork_game at s = (m^2 - n^2) / (2 m n), where 1 + s^2 is a square."""
+    m = draw(st.integers(2, 40))
+    n = draw(st.integers(1, m - 1))
+    return pitchfork_game(Fraction(m * m - n * n, 2 * m * n), draw(rationals))[0]
+
+
+IDENTITY_GAMES = {
+    "small_rational": st.builds(GameParams, a=signed_rationals, q1=rationals, q2=rationals,
+                                r1=rationals, r2=rationals, b1=input_gains, b2=input_gains),
+    "float": st.builds(GameParams, a=st.floats(-50, 50, exclude_min=True, exclude_max=True).filter(bool),
+                       q1=weights, q2=weights, r1=weights, r2=weights),
+    "fold": fold_games(),
+    "pitchfork": pitchfork_games(),
+}
+
+
 class TestResultantElimination:
+    @pytest.mark.parametrize("kind", IDENTITY_GAMES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_solvers_quintic(self, kind, data):
+        # the identity `verify` checks: the resultant in k1 of the
+        # stationarity system is build_g's quintic, coefficient for coefficient
+        norm = normalize(data.draw(IDENTITY_GAMES[kind]))
+        assert resultant_elimination(norm) == build_g(exact_game(norm))
+
     def test_degree_at_most_nine(self):
         rng = random.Random(15)
         for _ in range(20):
