@@ -328,7 +328,7 @@ input_gains = st.one_of(st.just(Fraction(1)),
 
 @st.composite
 def fold_games(draw):
-    """fold_game at every valid (c, k1): with cap = (1 - c^2) / c, the
+    """fold_game on a grid of valid (c, k1): with cap = (1 - c^2) / c, the
     tangency partner k2 stays in (0, cap) exactly when k1 lies strictly
     between cap / (3 + c^2) and cap."""
     c = Fraction(draw(st.integers(1, 39)), 40)
