@@ -377,7 +377,12 @@ def cmd_verify(args) -> int:
             lines.append(f"br_iteration: DISAGREE: {detail}")
             break
     else:
-        lines.append(f"br_iteration: agree ({converged}/8 starts converged, all matched)")
+        if converged:
+            lines.append(f"br_iteration: agree ({converged}/8 starts converged, all matched)")
+        else:
+            # nothing to compare: not a disagreement, since the composed
+            # best-response map need not contract near any equilibrium
+            lines.append("br_iteration: inconclusive (0/8 starts converged)")
 
     res_poly = resultant_elimination(norm)
     if res_poly == report.g2:
@@ -390,10 +395,10 @@ def cmd_verify(args) -> int:
     worst_sim = 0.0
     sim_ok = True
     for k1, k2 in solved:
-        samples = simulate_cost(norm, k1, k2, 200)
+        final = simulate_cost(norm, k1, k2, 200)
         closed = cost(norm, k1, k2)
         a_cl = closed.a_cl
-        for partial, total in ((samples[-1].partial_cost_1, closed.j1), (samples[-1].partial_cost_2, closed.j2)):
+        for partial, total in ((final.partial_cost_1, closed.j1), (final.partial_cost_2, closed.j2)):
             tail = abs(total) * abs(a_cl) ** 402 + 1e-9 * (1 + abs(total))
             err = abs(partial - total)
             worst_sim = max(worst_sim, err)

@@ -39,18 +39,24 @@ def monomial_div(m1: Monomial, m2: Monomial) -> Monomial:
 
 
 class MultiPoly:
-    """Sparse bivariate polynomial: map from exponent pair to nonzero rational."""
+    """Sparse bivariate polynomial: map from exponent pair to nonzero rational.
+
+    Coefficients are kept as given when they are `int` or `Fraction`, and
+    converted exactly to `Fraction` otherwise; terms with the same monomial
+    are added.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | Iterable[tuple[Monomial, Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, int | Fraction] = {}
         for m, c in items:
-            c = Fraction(c)
-            if c != 0:
-                clean[(int(m[0]), int(m[1]))] = clean.get((int(m[0]), int(m[1])), Fraction(0)) + c
-        object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c != 0})
+            if type(c) is not int and type(c) is not Fraction:
+                c = Fraction(c)
+            m = (int(m[0]), int(m[1]))
+            clean[m] = clean[m] + c if m in clean else c
+        object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -69,7 +75,7 @@ class MultiPoly:
         if self.is_zero:
             return self
         lc = self.leading_coefficient()
-        return MultiPoly({m: c / lc for m, c in self.terms.items()})
+        return MultiPoly({m: Fraction(c, lc) for m, c in self.terms.items()})
 
     def term_mul(self, coeff: Fraction, mono: Monomial) -> "MultiPoly":
         if coeff == 0:
@@ -122,8 +128,13 @@ def _primitive(terms: IntTerms) -> IntTerms:
 
 
 def _integer_multiple(f: MultiPoly) -> IntTerms:
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    return _primitive({m: c.numerator * (den // c.denominator) for m, c in f.terms.items()})
+    """The primitive part of f's integer coefficients, or of f times the
+    common denominator of its `Fraction` coefficients."""
+    terms = f.terms
+    if not all(type(c) is int for c in terms.values()):
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        terms = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    return _primitive(terms)
 
 
 def _s_polynomial(f: IntTerms, lmf: Monomial, g: IntTerms, lmg: Monomial) -> IntTerms:

@@ -18,7 +18,7 @@ from .game import (
     float_game,
     residuals,
 )
-from .solver import stationarity_system
+from .solver import stationarity_scales, stationarity_system
 
 GRID_DEFAULT = 512
 # _flagged_cells splits a box of cells until neither side is longer than
@@ -157,8 +157,6 @@ def _flagged_cells(fnorm: NormalizedGame, nodes: list[float]) -> list[tuple[int,
     s1, s2 = r1 + q1, r2 + q2
     n = len(nodes) - 1
     betas = [a - k for k in nodes]
-    factors1 = _beta_factors(betas, r1, q1, s1)
-    factors2 = _beta_factors(betas, r2, q2, s2)
     floor1 = _underflow_floor(a, r1, q1, s1, nodes[n])
     floor2 = _underflow_floor(a, r2, q2, s2, nodes[n])
     flagged = []
@@ -178,7 +176,7 @@ def _flagged_cells(fnorm: NormalizedGame, nodes: list[float]) -> list[tuple[int,
                 boxes += ((i0, i1, j0, mid), (i0, i1, mid, j1))
             continue
         # rho1 has k1 = nodes[i] and beta1 = betas[j]: sign1[j][i]
-        sign1 = _node_signs(nodes[i0:i1 + 1], range(j0, j1 + 1), *factors1)
+        sign1 = _node_signs(nodes[i0:i1 + 1], betas[j0:j1 + 1], r1, q1, s1)
         sign2 = None
         for i in range(i1 - i0):
             for j in range(j1 - j0):
@@ -186,26 +184,20 @@ def _flagged_cells(fnorm: NormalizedGame, nodes: list[float]) -> list[tuple[int,
                     continue
                 if sign2 is None:
                     # rho2 has beta2 = betas[i] and k2 = nodes[j]: sign2[i][j]
-                    sign2 = _node_signs(nodes[j0:j1 + 1], range(i0, i1 + 1), *factors2)
+                    sign2 = _node_signs(nodes[j0:j1 + 1], betas[i0:i1 + 1], r2, q2, s2)
                 if not _same_strict_sign(sign2[i], sign2[i + 1], j):
                     flagged.append((i0 + i, j0 + j))
     flagged.sort()
     return flagged
 
 
-def _beta_factors(betas: list[float], r: float, q: float, s: float):
-    """The factors b r, s - b b r and b q of one residual at every beta b,
-    rounded as `residuals` rounds them."""
-    return [b * r for b in betas], [s - b * b * r for b in betas], [b * q for b in betas]
-
-
-def _node_signs(ks, rows, br, sb, bq) -> list[list[int]]:
-    """Signs (+1, -1, or 0 for zero and NaN) of one residual,
-    br k k + sb k - bq evaluated as `residuals` does, with the beta factors
-    of each row index and every k in ks."""
+def _node_signs(ks: list[float], bs: list[float], r: float, q: float, s: float) -> list[list[int]]:
+    """Signs (+1, -1, or 0 for zero and NaN) of one residual with s = r + q,
+    (b r) k k + (s - b b r) k - b q evaluated and rounded as `residuals`
+    does, one row per beta b in bs, one column per k in ks."""
     out = []
-    for m in rows:
-        b_r, s_b, b_q = br[m], sb[m], bq[m]
+    for b in bs:
+        b_r, s_b, b_q = b * r, s - b * b * r, b * q
         out.append([(v > 0) - (v < 0) for v in [b_r * k * k + s_b * k - b_q for k in ks]])
     return out
 
@@ -313,13 +305,14 @@ def resultant_elimination(norm: NormalizedGame) -> UniPoly:
     The result is a polynomial in k2 whose roots include every equilibrium
     k2, computed exactly from the same stationarity system the Buchberger
     engine triangularizes; it is the solver's quintic `build_g` itself.
-    Each cubic is scaled to integers by the common denominator D of its
-    coefficients; the determinant is homogeneous of degree two in each
-    cubic, so one exact division by (D1 D2)^2 undoes the scaling.
+    `stationarity_system` gives each cubic on integers, scaled by D_i
+    (`stationarity_scales`); the determinant is homogeneous of degree two in
+    each cubic, so one exact division by (D1 D2)^2 undoes the scaling.
     """
     p1, p2 = stationarity_system(norm)
-    d1, (a2, a1, a0) = _k1_integer_coefficients(p1)
-    d2, (b2, b1, b0) = _k1_integer_coefficients(p2)
+    d1, d2 = stationarity_scales(norm)
+    a2, a1, a0 = _k1_coefficients(p1)
+    b2, b1, b0 = _k1_coefficients(p2)
     # the 4x4 Sylvester determinant of two quadratics in k1, in closed form:
     # (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1)
     c = _det2(a2, a0, b2, b0)
@@ -328,15 +321,14 @@ def resultant_elimination(norm: NormalizedGame) -> UniPoly:
     return UniPoly(Fraction(v, scale) for v in res)
 
 
-def _k1_integer_coefficients(p) -> tuple[int, list[list[int]]]:
-    """The common denominator D of p's coefficients, and the coefficients of
-    k1^2, k1 and 1 in D p as integer lists in ascending powers of k2 (both
-    residuals are quadratic in each gain; exponent pairs are (k1, k2))."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
+def _k1_coefficients(p) -> list[list[int]]:
+    """The coefficients of k1^2, k1 and 1 in the integer polynomial p, as
+    lists in ascending powers of k2 (both residuals are quadratic in each
+    gain; exponent pairs are (k1, k2))."""
     by_power = [[0] * 3 for _ in range(3)]
     for (i, j), c in p.terms.items():
-        by_power[i][j] = c.numerator * (den // c.denominator)
-    return den, by_power[::-1]
+        by_power[i][j] = c
+    return by_power[::-1]
 
 
 def _det2(x: list[int], y: list[int], u: list[int], v: list[int]) -> list[int]:
@@ -350,7 +342,7 @@ def _det2(x: list[int], y: list[int], u: list[int], v: list[int]) -> list[int]:
 
 
 class TrajectorySample(NamedTuple):
-    """One step of `simulate_cost`: state, both controls and both partial costs."""
+    """The step t of `simulate_cost`: state, both controls and both partial costs."""
 
     t: int
     x: float
@@ -360,24 +352,25 @@ class TrajectorySample(NamedTuple):
     partial_cost_2: float
 
 
-def simulate_cost(norm: NormalizedGame, k1: float, k2: float, horizon: int) -> list[TrajectorySample]:
-    """Roll the closed loop forward, accumulating both players' stage costs.
+def simulate_cost(norm: NormalizedGame, k1: float, k2: float, horizon: int) -> TrajectorySample:
+    """Roll the closed loop forward, accumulating both players' stage costs
+    over the steps t = 0, ..., horizon; returns the sample at t = horizon.
 
     For a stabilizing pair the partial sums approach the closed-form costs
     with a geometric tail; otherwise they diverge, which is also informative.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     norm = float_game(norm)
     a_cl = float(closed_loop(norm.a, k1, k2))
     x = norm.x0
     w1 = norm.q1 + norm.r1 * k1 * k1
     w2 = norm.q2 + norm.r2 * k2 * k2
     total1 = total2 = 0.0
-    out = []
-    for t in range(horizon + 1):
+    for _ in range(horizon):
         total1 += w1 * x * x
         total2 += w2 * x * x
-        out.append(TrajectorySample(t, x, -k1 * x, -k2 * x, total1, total2))
         x = a_cl * x
-    return out
+    total1 += w1 * x * x
+    total2 += w2 * x * x
+    return TrajectorySample(horizon, x, -k1 * x, -k2 * x, total1, total2)

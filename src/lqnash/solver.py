@@ -87,25 +87,53 @@ def build_g(norm: NormalizedGame) -> UniPoly:
 
 
 def stationarity_system(norm: NormalizedGame):
-    """Both players' stationarity cubics as exact bivariate polynomials.
+    """Both players' stationarity cubics as bivariate polynomials with
+    integer coefficients, exponent pairs (k1, k2).
 
-    These are the inputs the Buchberger engine triangularizes; their common
-    stabilizing roots are exactly the Nash equilibria.
+    Player i's residual
+
+        r_i k_i^2 (a - k_j) + (r_i + q_i - r_i (a - k_j)^2) k_i - q_i (a - k_j)
+
+    is multiplied by the positive integer D_i = den(a)^2 den(q_i) den(r_i)
+    of `stationarity_scales`, which clears every denominator and moves no
+    root.  These are the inputs the Buchberger engine triangularizes and the
+    direct resultant eliminates k1 from; their common stabilizing roots are
+    exactly the Nash equilibria.  Assembled from the parameters' numerators
+    and denominators, independently of `build_g`.
     """
     from .groebner import MultiPoly
 
-    a = Fraction(norm.a)
-    q1, q2 = Fraction(norm.q1), Fraction(norm.q2)
-    r1, r2 = Fraction(norm.r1), Fraction(norm.r2)
-    p1 = MultiPoly({
-        (2, 1): -r1, (2, 0): a * r1, (1, 2): -r1, (1, 1): 2 * a * r1,
-        (1, 0): r1 + q1 - a * a * r1, (0, 1): q1, (0, 0): -a * q1,
-    })
-    p2 = MultiPoly({
-        (1, 2): -r2, (0, 2): a * r2, (2, 1): -r2, (1, 1): 2 * a * r2,
-        (0, 1): r2 + q2 - a * a * r2, (1, 0): q2, (0, 0): -a * q2,
-    })
-    return [p1, p2]
+    a = _ratio(norm.a)
+    own1 = _scaled_cubic(*a, *_ratio(norm.q1), *_ratio(norm.r1))
+    own2 = _scaled_cubic(*a, *_ratio(norm.q2), *_ratio(norm.r2))
+    return [MultiPoly(own1), MultiPoly({(j, i): c for (i, j), c in own2.items()})]
+
+
+def stationarity_scales(norm: NormalizedGame) -> tuple[int, int]:
+    """The factors D_1, D_2 by which `stationarity_system` scales each cubic."""
+    da = _ratio(norm.a)[1]
+    return (da * da * _ratio(norm.q1)[1] * _ratio(norm.r1)[1],
+            da * da * _ratio(norm.q2)[1] * _ratio(norm.r2)[1])
+
+
+def _ratio(x) -> tuple[int, int]:
+    """Numerator and positive denominator of x in lowest terms."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _scaled_cubic(an: int, ad: int, qn: int, qd: int, rn: int, rd: int) -> dict[tuple[int, int], int]:
+    """D times one player's residual, with a = an/ad, q = qn/qd and r = rn/rd
+    in lowest terms, as {(own exponent, other exponent): coefficient}."""
+    r_scaled = rn * qd * ad * ad  # r D
+    ar_scaled = an * rn * qd * ad  # a r D
+    q_scaled = qn * rd * ad * ad  # q D
+    return {
+        (2, 1): -r_scaled, (2, 0): ar_scaled, (1, 2): -r_scaled, (1, 1): 2 * ar_scaled,
+        (1, 0): r_scaled + q_scaled - an * an * rn * qd, (0, 1): q_scaled,
+        (0, 0): -an * qn * rd * ad,
+    }
 
 
 def classify_discriminant(g2: UniPoly | SturmSequence) -> tuple[Fraction, int]:

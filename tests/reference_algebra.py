@@ -15,7 +15,7 @@ from lqnash.groebner import (
     monomial_lcm,
     monomial_mul,
 )
-from lqnash.oracle import BrIterationResult, _dedup, _newton_polish
+from lqnash.oracle import BrIterationResult, TrajectorySample, _dedup, _newton_polish
 
 
 def from_roots(roots: list[RationalLike]) -> UniPoly:
@@ -163,6 +163,34 @@ def lex_compare(m1: tuple[int, int], m2: tuple[int, int]) -> int:
     return 1 if m1 > m2 else -1
 
 
+# The stationarity system as lqnash built it over Fractions, before it
+# assembled integer multiples of the two cubics from numerators and
+# denominators.
+
+
+def stationarity_cubics(norm: NormalizedGame) -> list[MultiPoly]:
+    """Both players' stationarity cubics with exact rational coefficients,
+    exponent pairs (k1, k2)."""
+    a = Fraction(norm.a)
+    q1, q2 = Fraction(norm.q1), Fraction(norm.q2)
+    r1, r2 = Fraction(norm.r1), Fraction(norm.r2)
+    p1 = MultiPoly({
+        (2, 1): -r1, (2, 0): a * r1, (1, 2): -r1, (1, 1): 2 * a * r1,
+        (1, 0): r1 + q1 - a * a * r1, (0, 1): q1, (0, 0): -a * q1,
+    })
+    p2 = MultiPoly({
+        (1, 2): -r2, (0, 2): a * r2, (2, 1): -r2, (1, 1): 2 * a * r2,
+        (0, 1): r2 + q2 - a * a * r2, (1, 0): q2, (0, 0): -a * q2,
+    })
+    return [p1, p2]
+
+
+def stationarity_scale(norm: NormalizedGame, player: int) -> int:
+    """D_i = den(a)^2 den(q_i) den(r_i) of player i's cubic."""
+    q, r = (norm.q1, norm.r1) if player == 1 else (norm.q2, norm.r2)
+    return Fraction(norm.a).denominator ** 2 * Fraction(q).denominator * Fraction(r).denominator
+
+
 # The Buchberger engine as lqnash ran it over Fractions: the textbook
 # division and S-polynomial, each normalizing to monic as it goes.
 
@@ -173,8 +201,8 @@ def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         raise ValueError("s_polynomial requires nonzero polynomials")
     lmf, lmg = f.leading_monomial(), g.leading_monomial()
     lcm = monomial_lcm(lmf, lmg)
-    tf = f.term_mul(1 / f.leading_coefficient(), monomial_div(lcm, lmf))
-    tg = g.term_mul(1 / g.leading_coefficient(), monomial_div(lcm, lmg))
+    tf = f.term_mul(Fraction(1, f.leading_coefficient()), monomial_div(lcm, lmf))
+    tg = g.term_mul(Fraction(1, g.leading_coefficient()), monomial_div(lcm, lmg))
     return tf - tg
 
 
@@ -196,7 +224,7 @@ def reduce(f: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
             continue
         for lm, g in lead:
             if monomial_divides(lm, m):
-                factor = c / g.leading_coefficient()
+                factor = Fraction(c, g.leading_coefficient())
                 shift = monomial_div(m, lm)
                 for gm, gc in g.terms.items():
                     if gm == lm:
@@ -339,3 +367,21 @@ def br_iteration(norm: NormalizedGame, k_start: float, max_iter: int, tol: float
             return BrIterationResult(True, nxt, best_response(norm, 2, nxt).k_best, it)
         x = nxt
     return BrIterationResult(False, x, best_response(norm, 2, x).k_best, max_iter)
+
+
+def trajectory(norm: NormalizedGame, k1: float, k2: float, horizon: int) -> list[TrajectorySample]:
+    """Every step t = 0, ..., horizon of `simulate_cost`'s roll-out, as it
+    once returned them all."""
+    norm = float_game(norm)
+    a_cl = float(closed_loop(norm.a, k1, k2))
+    x = norm.x0
+    w1 = norm.q1 + norm.r1 * k1 * k1
+    w2 = norm.q2 + norm.r2 * k2 * k2
+    total1 = total2 = 0.0
+    out = []
+    for t in range(horizon + 1):
+        total1 += w1 * x * x
+        total2 += w2 * x * x
+        out.append(TrajectorySample(t, x, -k1 * x, -k2 * x, total1, total2))
+        x = a_cl * x
+    return out

@@ -266,10 +266,10 @@ def test_criterion_7_all_ones_end_to_end():
     closed = (1 + k_star * k_star) / (1 - a_cl * a_cl)
     assert abs(eq.j1 - closed) <= 1e-9
 
-    samples = simulate_cost(normalize(GameParams(a=1, q1=1, q2=1, r1=1, r2=1)),
-                            eq.k1, eq.k2, 200)
-    assert abs(samples[-1].partial_cost_1 - eq.j1) <= 1e-10
-    assert abs(samples[-1].partial_cost_2 - eq.j2) <= 1e-10
+    final = simulate_cost(normalize(GameParams(a=1, q1=1, q2=1, r1=1, r2=1)),
+                          eq.k1, eq.k2, 200)
+    assert abs(final.partial_cost_1 - eq.j1) <= 1e-10
+    assert abs(final.partial_cost_2 - eq.j2) <= 1e-10
     print(f"\nPASS criterion 7: symmetric equilibrium {eq.k1:.9f} matches the "
           f"bisected cubic root, cost {eq.j1:.6f}, simulation within 1e-10")
 

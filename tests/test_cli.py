@@ -264,6 +264,15 @@ class TestVerifyCommand:
         assert code == 4
         assert "DISAGREE" in out
 
+    def test_no_converged_start_is_inconclusive_not_agreement(self, capsys):
+        # on the pitchfork game no best-response start converges, so that
+        # oracle compares nothing; the verdict rests on the others
+        pitchfork = ["--a", "2", "--q1", "9/16", "--q2", "9/16", "--r1", "1", "--r2", "1"]
+        code, out, _ = run_cli(capsys, ["verify", *pitchfork])
+        assert code == 0
+        assert "br_iteration: inconclusive (0/8 starts converged)" in out.splitlines()
+        assert out.splitlines()[-1] == "VERDICT: PASS"
+
     def test_resultant_off_the_quintic_fails(self, capsys, monkeypatch):
         # the quintic's degree, but another constant term
         monkeypatch.setattr(cli, "resultant_elimination",

@@ -31,11 +31,27 @@ from lqnash.oracle import (
     resultant_elimination,
     simulate_cost,
 )
-from lqnash.solver import build_g, fold_game, pitchfork_game, solve, stationarity_system
+from lqnash.solver import (
+    build_g,
+    fold_game,
+    pitchfork_game,
+    solve,
+    stationarity_scales,
+    stationarity_system,
+)
 from reference_algebra import br_iteration as record_br_iteration
 from reference_algebra import flagged_cells as unblocked_flagged_cells
 from reference_algebra import grid_scan as unblocked_grid_scan
-from reference_algebra import h_eval, poly_eval, poly_gcd, resultant, straddles_zero
+from reference_algebra import (
+    h_eval,
+    poly_eval,
+    poly_gcd,
+    resultant,
+    stationarity_cubics,
+    stationarity_scale,
+    straddles_zero,
+    trajectory,
+)
 
 ALL_ONES = GameParams(a=1, q1=1, q2=1, r1=1, r2=1)
 SYMMETRIC_K = 0.3554157267758450
@@ -399,7 +415,7 @@ class TestResultantElimination:
         for _ in range(30):
             norm = normalize(random_rational_game(rng))
             res = resultant_elimination(norm)
-            p1, p2 = stationarity_system(norm)
+            p1, p2 = stationarity_cubics(norm)
             for _ in range(10):
                 k2 = Fraction(rng.randint(-80, 80), rng.randint(1, 12))
                 if k2 in (0, norm.a):
@@ -426,15 +442,28 @@ class TestStationarityEncodings:
     """`residuals`, `stationarity_system` and the Newton Jacobian of the grid
     scan encode the same two equations."""
 
+    @pytest.mark.parametrize("kind", IDENTITY_GAMES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_system_is_the_reference_cubics_times_their_scales(self, kind, data):
+        norm = normalize(data.draw(IDENTITY_GAMES[kind]))
+        scales = (stationarity_scale(norm, 1), stationarity_scale(norm, 2))
+        assert stationarity_scales(norm) == scales
+        for p, ref, d in zip(stationarity_system(norm), stationarity_cubics(norm), scales):
+            assert all(type(c) is int for c in p.terms.values())
+            assert p.terms == {m: d * c for m, c in ref.terms.items()}
+
     def test_residuals_equal_the_polynomial_system_exactly(self):
         rng = random.Random(19)
         for _ in range(100):
             ex = exact_game(normalize(random_rational_game(rng)))
             p1, p2 = stationarity_system(ex)
+            d1, d2 = stationarity_scale(ex, 1), stationarity_scale(ex, 2)
             for _ in range(5):
                 k1 = Fraction(rng.randint(-80, 80), rng.randint(1, 12))
                 k2 = Fraction(rng.randint(-80, 80), rng.randint(1, 12))
-                assert residuals(ex, k1, k2) == (sum(_terms(p1, k1, k2)), sum(_terms(p2, k1, k2)))
+                rho1, rho2 = residuals(ex, k1, k2)
+                assert (d1 * rho1, d2 * rho2) == (sum(_terms(p1, k1, k2)), sum(_terms(p2, k1, k2)))
 
     def test_jacobian_matches_exact_partial_derivatives(self):
         # the polynomials of the game's double image, differentiated exactly;
@@ -443,27 +472,42 @@ class TestStationarityEncodings:
         for _ in range(100):
             fnorm = float_game(normalize(random_float_game(rng)))
             p1, p2 = stationarity_system(fnorm)
-            partials = [_partial(p, var) for p in (p1, p2) for var in (0, 1)]
+            d1, d2 = stationarity_scale(fnorm, 1), stationarity_scale(fnorm, 2)
+            partials = [(_partial(p, var), d) for p, d in ((p1, d1), (p2, d2)) for var in (0, 1)]
             for _ in range(5):
                 k1, k2 = rng.uniform(0, fnorm.a), rng.uniform(0, fnorm.a)
-                for got, d in zip(_jacobian(fnorm, k1, k2), partials):
-                    terms = _terms(d, Fraction(k1), Fraction(k2))
+                for got, (dp, d) in zip(_jacobian(fnorm, k1, k2), partials):
+                    terms = [Fraction(t, d) for t in _terms(dp, Fraction(k1), Fraction(k2))]
                     assert abs(Fraction(got) - sum(terms)) <= Fraction(1e-12) * sum(map(abs, terms))
 
 
 class TestSimulateCost:
     def test_deadbeat_constant_after_first_step(self):
         norm = normalize(GameParams(a=2, q1=1, q2=1, r1=1, r2=1))
-        samples = simulate_cost(norm, 0.75, 1.25, 10)
-        assert samples[0].partial_cost_1 == samples[-1].partial_cost_1
-        assert samples[1].x == 0
+        first = simulate_cost(norm, 0.75, 1.25, 0)
+        assert first.partial_cost_1 == simulate_cost(norm, 0.75, 1.25, 10).partial_cost_1
+        assert simulate_cost(norm, 0.75, 1.25, 1).x == 0
 
     def test_matches_closed_form_at_equilibrium(self):
         norm = normalize(ALL_ONES)
-        samples = simulate_cost(norm, SYMMETRIC_K, SYMMETRIC_K, 200)
+        final = simulate_cost(norm, SYMMETRIC_K, SYMMETRIC_K, 200)
         closed = cost(norm, SYMMETRIC_K, SYMMETRIC_K)
-        assert abs(samples[-1].partial_cost_1 - closed.j1) < 1e-10
-        assert abs(samples[-1].partial_cost_2 - closed.j2) < 1e-10
+        assert abs(final.partial_cost_1 - closed.j1) < 1e-10
+        assert abs(final.partial_cost_2 - closed.j2) < 1e-10
+
+    def test_final_sample_is_the_last_step_of_the_roll_out(self):
+        # the same float operations in the same order, so the same bits
+        rng = random.Random(21)
+        for _ in range(100):
+            norm = normalize(random_float_game(rng))
+            a = float(norm.a)
+            k1, k2 = rng.uniform(0, a), rng.uniform(0, a)
+            horizon = rng.choice([0, 1, 2, 37, 200])
+            assert simulate_cost(norm, k1, k2, horizon) == trajectory(norm, k1, k2, horizon)[-1]
+
+    def test_rejects_negative_horizon(self):
+        with pytest.raises(ValueError):
+            simulate_cost(normalize(ALL_ONES), 0.3, 0.3, -1)
 
     def test_geometric_convergence_on_random_stabilizing_pairs(self):
         rng = random.Random(17)
@@ -476,23 +520,23 @@ class TestSimulateCost:
             if not closed.stabilizing or abs(closed.a_cl) > 0.98:
                 continue
             T = 120
-            samples = simulate_cost(norm, k1, k2, T)
+            final = simulate_cost(norm, k1, k2, T)
             w1 = float(norm.q1) + float(norm.r1) * k1 * k1
             bound = w1 * closed.a_cl ** (2 * (T + 1)) / (1 - closed.a_cl**2)
-            err = abs(samples[-1].partial_cost_1 - closed.j1)
+            err = abs(final.partial_cost_1 - closed.j1)
             assert err <= bound * 1.01 + 1e-9 * (1 + closed.j1)
             checked += 1
 
     def test_unstable_pair_diverges_monotonically(self):
         norm = normalize(GameParams(a=3, q1=1, q2=1, r1=1, r2=1))
-        samples = simulate_cost(norm, 0.5, 0.5, 40)  # a_cl = 2
-        partials = [s.partial_cost_1 for s in samples]
+        # a_cl = 2
+        partials = [simulate_cost(norm, 0.5, 0.5, t).partial_cost_1 for t in range(41)]
         assert all(b > a for a, b in zip(partials, partials[1:]))
 
     def test_trajectory_recursion(self):
         norm = normalize(GameParams(a=1.5, q1=1, q2=2, r1=1, r2=1, x0=2))
         k1, k2 = 0.25, 0.5
-        samples = simulate_cost(norm, k1, k2, 20)
+        samples = [simulate_cost(norm, k1, k2, t) for t in range(21)]
         a_cl = 1.5 - k1 - k2
         for prev, cur in zip(samples, samples[1:]):
             assert math.isclose(cur.x, a_cl * prev.x, rel_tol=0, abs_tol=1e-15)
