@@ -128,13 +128,8 @@ def _primitive(terms: IntTerms) -> IntTerms:
 
 
 def _integer_multiple(f: MultiPoly) -> IntTerms:
-    """The primitive part of f's integer coefficients, or of f times the
-    common denominator of its `Fraction` coefficients."""
-    terms = f.terms
-    if not all(type(c) is int for c in terms.values()):
-        den = math.lcm(*(c.denominator for c in terms.values()))
-        terms = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-    return _primitive(terms)
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    return _primitive({m: c.numerator * (den // c.denominator) for m, c in f.terms.items()})
 
 
 def _s_polynomial(f: IntTerms, lmf: Monomial, g: IntTerms, lmg: Monomial) -> IntTerms:

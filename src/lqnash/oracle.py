@@ -18,7 +18,7 @@ from .game import (
     float_game,
     residuals,
 )
-from .solver import stationarity_scales, stationarity_system
+from .solver import scaled_stationarity_system
 
 GRID_DEFAULT = 512
 # _flagged_cells splits a box of cells until neither side is longer than
@@ -305,12 +305,11 @@ def resultant_elimination(norm: NormalizedGame) -> UniPoly:
     The result is a polynomial in k2 whose roots include every equilibrium
     k2, computed exactly from the same stationarity system the Buchberger
     engine triangularizes; it is the solver's quintic `build_g` itself.
-    `stationarity_system` gives each cubic on integers, scaled by D_i
-    (`stationarity_scales`); the determinant is homogeneous of degree two in
-    each cubic, so one exact division by (D1 D2)^2 undoes the scaling.
+    `scaled_stationarity_system` gives each cubic on integers, scaled by
+    D_i; the determinant is homogeneous of degree two in each cubic, so one
+    exact division by (D1 D2)^2 undoes the scaling.
     """
-    p1, p2 = stationarity_system(norm)
-    d1, d2 = stationarity_scales(norm)
+    (p1, p2), (d1, d2) = scaled_stationarity_system(norm)
     a2, a1, a0 = _k1_coefficients(p1)
     b2, b1, b0 = _k1_coefficients(p2)
     # the 4x4 Sylvester determinant of two quadratics in k1, in closed form:

@@ -88,32 +88,33 @@ def build_g(norm: NormalizedGame) -> UniPoly:
 
 def stationarity_system(norm: NormalizedGame):
     """Both players' stationarity cubics as bivariate polynomials with
-    integer coefficients, exponent pairs (k1, k2).
+    integer coefficients, exponent pairs (k1, k2); the first half of
+    `scaled_stationarity_system`."""
+    return scaled_stationarity_system(norm)[0]
+
+
+def scaled_stationarity_system(norm: NormalizedGame):
+    """Both stationarity cubics on integers, and the factors (D_1, D_2) that
+    scale them.
 
     Player i's residual
 
         r_i k_i^2 (a - k_j) + (r_i + q_i - r_i (a - k_j)^2) k_i - q_i (a - k_j)
 
-    is multiplied by the positive integer D_i = den(a)^2 den(q_i) den(r_i)
-    of `stationarity_scales`, which clears every denominator and moves no
-    root.  These are the inputs the Buchberger engine triangularizes and the
-    direct resultant eliminates k1 from; their common stabilizing roots are
-    exactly the Nash equilibria.  Assembled from the parameters' numerators
-    and denominators, independently of `build_g`.
+    is multiplied by the positive integer D_i = den(a)^2 den(q_i) den(r_i),
+    which clears every denominator and moves no root.  These are the inputs
+    the Buchberger engine triangularizes and the direct resultant eliminates
+    k1 from; their common stabilizing roots are exactly the Nash equilibria.
+    Assembled from the parameters' numerators and denominators,
+    independently of `build_g`.
     """
     from .groebner import MultiPoly
 
     a = _ratio(norm.a)
-    own1 = _scaled_cubic(*a, *_ratio(norm.q1), *_ratio(norm.r1))
-    own2 = _scaled_cubic(*a, *_ratio(norm.q2), *_ratio(norm.r2))
-    return [MultiPoly(own1), MultiPoly({(j, i): c for (i, j), c in own2.items()})]
-
-
-def stationarity_scales(norm: NormalizedGame) -> tuple[int, int]:
-    """The factors D_1, D_2 by which `stationarity_system` scales each cubic."""
-    da = _ratio(norm.a)[1]
-    return (da * da * _ratio(norm.q1)[1] * _ratio(norm.r1)[1],
-            da * da * _ratio(norm.q2)[1] * _ratio(norm.r2)[1])
+    d1, own1 = _scaled_cubic(a, _ratio(norm.q1), _ratio(norm.r1))
+    d2, own2 = _scaled_cubic(a, _ratio(norm.q2), _ratio(norm.r2))
+    system = [MultiPoly(own1), MultiPoly({(j, i): c for (i, j), c in own2.items()})]
+    return system, (d1, d2)
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -123,16 +124,20 @@ def _ratio(x) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def _scaled_cubic(an: int, ad: int, qn: int, qd: int, rn: int, rd: int) -> dict[tuple[int, int], int]:
-    """D times one player's residual, with a = an/ad, q = qn/qd and r = rn/rd
-    in lowest terms, as {(own exponent, other exponent): coefficient}."""
-    r_scaled = rn * qd * ad * ad  # r D
-    ar_scaled = an * rn * qd * ad  # a r D
-    q_scaled = qn * rd * ad * ad  # q D
-    return {
-        (2, 1): -r_scaled, (2, 0): ar_scaled, (1, 2): -r_scaled, (1, 1): 2 * ar_scaled,
-        (1, 0): r_scaled + q_scaled - an * an * rn * qd, (0, 1): q_scaled,
-        (0, 0): -an * qn * rd * ad,
+def _scaled_cubic(a: tuple[int, int], q: tuple[int, int], r: tuple[int, int]):
+    """D = den(a)^2 den(q) den(r) and D times one player's residual, as
+    {(own exponent, other exponent): coefficient}; a, q and r are given as
+    (numerator, denominator) in lowest terms."""
+    (an, ad), (qn, qd), (rn, rd) = a, q, r
+    d = ad * ad * qd * rd
+    r_d = rn * (d // rd)  # r D
+    ar_d = an * rn * (d // (ad * rd))  # a r D
+    q_d = qn * (d // qd)  # q D
+    return d, {
+        (2, 1): -r_d, (2, 0): ar_d, (1, 2): -r_d, (1, 1): 2 * ar_d,
+        (1, 0): r_d + q_d - an * an * rn * (d // (ad * ad * rd)),  # (r + q - a^2 r) D
+        (0, 1): q_d,
+        (0, 0): -an * qn * (d // (ad * qd)),  # -a q D
     }
 
 

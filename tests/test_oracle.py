@@ -36,7 +36,7 @@ from lqnash.solver import (
     fold_game,
     pitchfork_game,
     solve,
-    stationarity_scales,
+    scaled_stationarity_system,
     stationarity_system,
 )
 from reference_algebra import br_iteration as record_br_iteration
@@ -448,8 +448,10 @@ class TestStationarityEncodings:
     def test_system_is_the_reference_cubics_times_their_scales(self, kind, data):
         norm = normalize(data.draw(IDENTITY_GAMES[kind]))
         scales = (stationarity_scale(norm, 1), stationarity_scale(norm, 2))
-        assert stationarity_scales(norm) == scales
-        for p, ref, d in zip(stationarity_system(norm), stationarity_cubics(norm), scales):
+        system, got_scales = scaled_stationarity_system(norm)
+        assert got_scales == scales
+        assert stationarity_system(norm) == system
+        for p, ref, d in zip(system, stationarity_cubics(norm), scales):
             assert all(type(c) is int for c in p.terms.values())
             assert p.terms == {m: d * c for m, c in ref.terms.items()}
 
