@@ -301,7 +301,7 @@ def cmd_sweep(args) -> int:
     csv_text = sweep_mod.rows_to_csv(rows)
     sweep_mod.write_atomic(config.outputs.csv, csv_text)
     if config.outputs.svg:
-        sweep_mod.write_atomic(config.outputs.svg, sweep_mod.render_svg(rows, config))
+        sweep_mod.write_atomic(config.outputs.svg, sweep_mod.render_svg(rows))
     if config.outputs.json:
         sweep_mod.write_atomic(
             config.outputs.json, canonical_dumps(sweep_mod.rows_to_json_doc(rows))

@@ -267,11 +267,6 @@ class SturmSequence:
         self.chain = chain
         self.sf_ints = chain[0]
 
-    @classmethod
-    def of(cls, p: "UniPoly | SturmSequence") -> "SturmSequence":
-        """`p` itself if it is already a sequence, else a fresh one."""
-        return p if isinstance(p, cls) else cls(p)
-
 
 def _sign_at(ints: list[int], num: int, den: int) -> int:
     """Sign of an integer polynomial at the rational point num/den (den > 0), exactly.
@@ -317,14 +312,9 @@ def _chain_signs(chain: list[list[int]], x: Endpoint) -> list[int]:
     return [_sign_at(ints, num, den) for ints in chain]
 
 
-def sturm_count(p: UniPoly | SturmSequence, lo: Endpoint, hi: Endpoint) -> int:
-    """Distinct real roots of p in (lo, hi]; endpoints may be POS_INF/NEG_INF."""
-    if isinstance(p, UniPoly):
-        if p.is_zero:
-            raise ValueError("sturm_count requires a nonzero polynomial")
-        if p.degree < 1:
-            return 0
-    chain = SturmSequence.of(p).chain
+def sturm_count(seq: SturmSequence, lo: Endpoint, hi: Endpoint) -> int:
+    """Distinct real roots of seq.poly in (lo, hi]; endpoints may be POS_INF/NEG_INF."""
+    chain = seq.chain
     return _variations(_chain_signs(chain, lo)) - _variations(_chain_signs(chain, hi))
 
 
@@ -384,22 +374,18 @@ def _with_multiplicities(seq: SturmSequence, raw) -> list[RootInterval]:
     return out
 
 
-def isolate_real_roots(p: UniPoly | SturmSequence) -> list[RootInterval]:
+def isolate_real_roots(seq: SturmSequence) -> list[RootInterval]:
     """Isolating intervals for every distinct real root, with multiplicities."""
-    seq = SturmSequence.of(p)
     bound = Fraction(_cauchy_bound(seq.sf_ints))
     return _with_multiplicities(seq, _isolate_square_free(seq.chain, -bound, bound))
 
 
-def isolate_roots_in_interval(
-    p: UniPoly | SturmSequence, lo: Fraction, hi: Fraction
-) -> list[RootInterval]:
+def isolate_roots_in_interval(seq: SturmSequence, lo: Fraction, hi: Fraction) -> list[RootInterval]:
     """Isolating intervals restricted to (lo, hi], with multiplicities."""
-    seq = SturmSequence.of(p)
     return _with_multiplicities(seq, _isolate_square_free(seq.chain, Fraction(lo), Fraction(hi)))
 
 
-def refine_root(p: UniPoly | SturmSequence, iv: RootInterval, width: Fraction) -> Fraction:
+def refine_root(seq: SturmSequence, iv: RootInterval, width: Fraction) -> Fraction:
     """Bisect the isolating interval until its width is at most `width`.
 
     Works on the square-free part so multiple roots refine like simple ones;
@@ -412,7 +398,7 @@ def refine_root(p: UniPoly | SturmSequence, iv: RootInterval, width: Fraction) -
     width = Fraction(width)
     if width <= 0:
         raise ValueError(f"refine width must be positive, got {width}")
-    ints = SturmSequence.of(p).sf_ints
+    ints = seq.sf_ints
     lo, hi = Fraction(iv.lo), Fraction(iv.hi)
     s_hi = _sign_at(ints, hi.numerator, hi.denominator)
     if s_hi == 0:

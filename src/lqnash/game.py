@@ -8,7 +8,7 @@ other module works on `NormalizedGame` and maps results back through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 
@@ -39,16 +39,17 @@ class GameParams:
     x0: Real = 1
 
     def validate(self) -> None:
+        # finiteness first, so that NaN is named as such and not as "<= 0"
+        for name in ("a", "q1", "q2", "r1", "r2", "b1", "b2", "x0"):
+            v = getattr(self, name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise InvalidGameError(f"{name} must be finite")
         for name in ("q1", "q2", "r1", "r2"):
             if not getattr(self, name) > 0:
                 raise InvalidGameError(f"{name} must be > 0")
         for name in ("b1", "b2"):
             if getattr(self, name) == 0:
                 raise InvalidGameError(f"{name} must be nonzero")
-        for name in ("a", "q1", "q2", "r1", "r2", "b1", "b2", "x0"):
-            v = getattr(self, name)
-            if isinstance(v, float) and not math.isfinite(v):
-                raise InvalidGameError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -165,16 +166,6 @@ def cost(norm: NormalizedGame, k1: float, k2: float) -> CostReport:
     return CostReport(float(j1), float(j2), float(a_cl))
 
 
-@dataclass(frozen=True)
-class BestResponseEval:
-    """Best response of one player against a fixed opponent policy."""
-
-    k_other: float
-    s_value: float
-    p_value: float
-    k_best: float
-
-
 def _radical_sum(m: float, s: float) -> float:
     """m + sqrt(s) computed stably when m < 0 (s = m^2 + positive term)."""
     root = math.sqrt(s)
@@ -184,29 +175,11 @@ def _radical_sum(m: float, s: float) -> float:
     return (s - m * m) / (root - m)
 
 
-def _player_weights(norm: NormalizedGame, i: int) -> tuple[float, float]:
-    if i == 1:
-        return float(norm.q1), float(norm.r1)
-    if i == 2:
-        return float(norm.q2), float(norm.r2)
-    raise ValueError("player index must be 1 or 2")
-
-
-def best_response(norm: NormalizedGame, i: int, k_other: float) -> BestResponseEval:
-    """Optimal gain of player i against k_other, with its Riccati certificate.
-
-    k_best has the sign of (a - k_other) and is strictly smaller in magnitude
-    unless k_other = a, where it is zero.
-    """
-    q, r = _player_weights(norm, i)
-    k_best, s, plus = best_gain(float(norm.a) - k_other, q, r)
-    return BestResponseEval(k_other=k_other, s_value=s, p_value=0.5 * plus, k_best=k_best)
-
-
 def best_gain(alpha: float, q: float, r: float) -> tuple[float, float, float]:
-    """(k_best, s, m + sqrt(s)) of a player with weights q, r facing the
-    open-loop gain alpha = a - k_other; `best_response` without the record,
-    for loops that hold the weights as floats already.
+    """(k_best, s, m + sqrt(s)): the optimal gain of a player with weights q, r
+    facing the open-loop gain alpha = a - k_other, and its Riccati certificate
+    p = (m + sqrt(s)) / 2.  k_best has the sign of alpha and is smaller in
+    magnitude, unless alpha = 0, where it is zero.
     """
     m = (alpha * alpha - 1.0) * r + q
     s = m * m + 4.0 * q * r

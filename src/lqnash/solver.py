@@ -25,7 +25,7 @@ from .exactalg import (
 from .game import (
     GameParams,
     NormalizedGame,
-    best_response,
+    best_gain,
     cost,
     denormalize_equilibrium,
     exact_game,
@@ -141,30 +141,29 @@ def _scaled_cubic(a: tuple[int, int], q: tuple[int, int], r: tuple[int, int]):
     }
 
 
-def classify_discriminant(g2: UniPoly | SturmSequence) -> tuple[Fraction, int]:
+def classify_discriminant(seq: SturmSequence) -> tuple[Fraction, int]:
     """Exact discriminant of the unscaled quintic and its sign.
 
-    `g2` may be the quintic's prebuilt Sturm sequence, whose remainder
+    `seq` is the Sturm sequence of twice the quintic, whose remainder
     sequence already carries the discriminant.  Rejects degree != 5 loudly:
     the positivity invariants make a degenerate leading coefficient
     impossible, so reaching it means corrupted input.
     """
-    degree = (g2.poly if isinstance(g2, SturmSequence) else g2).degree
+    degree = seq.poly.degree
     if degree != 5:
         raise DegenerateGameError(f"expected a degree-5 polynomial, got degree {degree}")
     # g = g2 / G_SCALE scales the degree-5 discriminant by G_SCALE^-(2*5-2)
-    delta = SturmSequence.of(g2).discriminant / Fraction(G_SCALE) ** 8
+    delta = seq.discriminant / Fraction(G_SCALE) ** 8
     sign = 0 if delta == 0 else (1 if delta > 0 else -1)
     return delta, sign
 
 
-def find_candidate_roots(g2: UniPoly | SturmSequence, a: Fraction) -> list[tuple[Fraction, int]]:
+def find_candidate_roots(seq: SturmSequence, a: Fraction) -> list[tuple[Fraction, int]]:
     """Distinct real roots of the quintic strictly inside (0, a), refined.
 
     The endpoints are excluded for free: the quintic is exactly positive at 0
     and exactly negative at a for every valid game.
     """
-    seq = SturmSequence.of(g2)
     return [
         (refine_root(seq, iv, REFINE_WIDTH), iv.multiplicity)
         for iv in isolate_roots_in_interval(seq, Fraction(0), Fraction(a))
@@ -172,12 +171,9 @@ def find_candidate_roots(g2: UniPoly | SturmSequence, a: Fraction) -> list[tuple
 
 
 def recover_k1(norm: NormalizedGame, k2: float) -> float:
-    """The admissible stationary gain of player 1 against k2.
-
-    Delegates to the best-response map, whose branch choice is the one
-    satisfying the stability constraint.
-    """
-    return best_response(norm, 1, float(k2)).k_best
+    """The admissible stationary gain of player 1 against k2: its `best_gain`,
+    whose branch is the one that satisfies the stability constraint."""
+    return best_gain(float(norm.a) - float(k2), float(norm.q1), float(norm.r1))[0]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .game import GameParams
+from .game import GameParams, InvalidGameError
 from .solver import NashEquilibrium, TheoremFlags, solve
 
 CSV_COLUMNS = (
@@ -87,7 +87,7 @@ def parse_config(doc: dict) -> SweepConfig:
         grid = AGrid(
             min=float(grid_doc["min"]),
             max=float(grid_doc["max"]),
-            count=int(grid_doc["count"]),
+            count=grid_doc["count"],
             spacing=str(grid_doc.get("spacing", "linear")),
         )
         outputs_doc = doc["outputs"]
@@ -115,20 +115,16 @@ def parse_config(doc: dict) -> SweepConfig:
 
 def _validate(config: SweepConfig) -> None:
     grid = config.a_grid
-    # JSON readers accept NaN and Infinity, which no game parameter may be
-    for name in ("q1", "r1", "q2", "b1", "b2", "x0"):
-        if not math.isfinite(getattr(config, name)):
-            raise ConfigError(f"{name} must be finite")
+    # JSON readers accept NaN and Infinity
     if not (math.isfinite(grid.min) and math.isfinite(grid.max)):
         raise ConfigError("a_grid.min and a_grid.max must be finite")
-    if not all(math.isfinite(v) for v in config.r2_values):
-        raise ConfigError("r2_values must all be finite")
     if not grid.min > 0:
         raise ConfigError("a_grid.min must be > 0")
     if grid.max < grid.min:
         raise ConfigError("a_grid.max must be >= a_grid.min")
-    if grid.count < 1:
-        raise ConfigError("a_grid.count must be >= 1")
+    # bool is an int subclass, but no JSON integer
+    if type(grid.count) is not int or grid.count < 1:
+        raise ConfigError("a_grid.count must be an integer >= 1")
     if grid.spacing not in ("linear", "log"):
         raise ConfigError("a_grid.spacing must be 'linear' or 'log'")
     # the last log point is min * (max / min), which can overflow though both are finite
@@ -136,14 +132,12 @@ def _validate(config: SweepConfig) -> None:
         raise ConfigError("a_grid.max / a_grid.min overflows a double under log spacing")
     if not config.r2_values:
         raise ConfigError("r2_values must be nonempty")
-    if any(not v > 0 for v in config.r2_values):
-        raise ConfigError("r2_values must all be > 0")
-    for name in ("q1", "r1", "q2"):
-        if not getattr(config, name) > 0:
-            raise ConfigError(f"{name} must be > 0")
-    for name in ("b1", "b2"):
-        if getattr(config, name) == 0:
-            raise ConfigError(f"{name} must be nonzero")
+    for r2 in config.r2_values:
+        try:
+            GameParams(a=grid.min, q1=config.q1, q2=config.q2, r1=config.r1, r2=r2,
+                       b1=config.b1, b2=config.b2, x0=config.x0).validate()
+        except InvalidGameError as exc:
+            raise ConfigError(f"{exc} (game with r2_values entry {r2!r})") from exc
 
 
 def a_points(grid: AGrid) -> list[float]:
@@ -277,7 +271,7 @@ def _fmt(x: float) -> str:
     return format(x, ".2f")
 
 
-def render_svg(rows: list[SweepRow], config: SweepConfig) -> str:
+def render_svg(rows: list[SweepRow]) -> str:
     """Self-contained two-panel figure: transformed discriminant and count vs a."""
     width, height = 760.0, 560.0
     margin_l, margin_r, margin_t, panel_gap = 70.0, 20.0, 30.0, 50.0

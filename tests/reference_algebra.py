@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from lqnash.exactalg import RationalLike, SturmSequence, UniPoly
-from lqnash.game import NormalizedGame, best_response, closed_loop, float_game, residuals
+from lqnash.game import NormalizedGame, best_gain, closed_loop, float_game, residuals
 from lqnash.groebner import (
     MultiPoly,
     Monomial,
@@ -153,7 +153,8 @@ def discriminant(p: UniPoly) -> Fraction:
 
 def h_eval(norm: NormalizedGame, x: float) -> float:
     """br1(br2(x)) - x: positive at 0 and negative at a, so it has a zero, an equilibrium k1."""
-    return best_response(norm, 1, best_response(norm, 2, x).k_best).k_best - x
+    a, q1, q2, r1, r2 = (float(v) for v in (norm.a, norm.q1, norm.q2, norm.r1, norm.r2))
+    return best_gain(a - best_gain(a - x, q2, r2)[0], q1, r1)[0] - x
 
 
 def lex_compare(m1: tuple[int, int], m2: tuple[int, int]) -> int:
@@ -321,7 +322,7 @@ def _autoreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
 
 # The float oracles as lqnash ran them before their fast paths: the residual
 # surfaces as two whole (n + 1) x (n + 1) numpy arrays, and best-response
-# iteration through `best_response` records.
+# iteration that calls `best_gain` once per best response.
 
 
 def straddles_zero(R):
@@ -360,13 +361,18 @@ def grid_scan(norm: NormalizedGame, n: int) -> list[tuple[float, float]]:
 
 def br_iteration(norm: NormalizedGame, k_start: float, max_iter: int, tol: float) -> BrIterationResult:
     norm = float_game(norm)
+
+    def br(i, k_other):
+        q, r = (norm.q1, norm.r1) if i == 1 else (norm.q2, norm.r2)
+        return best_gain(norm.a - k_other, q, r)[0]
+
     x = float(k_start)
     for it in range(1, max_iter + 1):
-        nxt = best_response(norm, 1, best_response(norm, 2, x).k_best).k_best
+        nxt = br(1, br(2, x))
         if abs(nxt - x) < tol:
-            return BrIterationResult(True, nxt, best_response(norm, 2, nxt).k_best, it)
+            return BrIterationResult(True, nxt, br(2, nxt), it)
         x = nxt
-    return BrIterationResult(False, x, best_response(norm, 2, x).k_best, max_iter)
+    return BrIterationResult(False, x, br(2, x), max_iter)
 
 
 def trajectory(norm: NormalizedGame, k1: float, k2: float, horizon: int) -> list[TrajectorySample]:

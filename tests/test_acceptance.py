@@ -13,10 +13,10 @@ from fractions import Fraction
 import pytest
 
 import lqnash.cli as cli
-from lqnash.exactalg import sturm_count
+from lqnash.exactalg import SturmSequence, sturm_count
 from lqnash.game import (
     GameParams,
-    best_response,
+    best_gain,
     cost,
     normalize,
     renormalize_equilibrium,
@@ -111,7 +111,7 @@ def test_criterion_2_discriminant_law(big_sweep):
         params, _ = pitchfork_game(s)
         zero_cases.append(params)
     for params in zero_cases:
-        delta, sign = classify_discriminant(build_g(normalize(params)))
+        delta, sign = classify_discriminant(SturmSequence(build_g(normalize(params))))
         assert delta == 0 and sign == 0
         assert solve(params).n_nash <= 2
 
@@ -120,7 +120,7 @@ def test_criterion_2_discriminant_law(big_sweep):
     def delta_sign_at(a: Fraction) -> int:
         params = GameParams(a=a, q1=Fraction(1, 2), q2=Fraction(1),
                             r1=Fraction(1), r2=Fraction(98, 27))
-        return classify_discriminant(build_g(normalize(params)))[1]
+        return classify_discriminant(SturmSequence(build_g(normalize(params))))[1]
 
     lo, hi = Fraction(2), Fraction(3)
     assert delta_sign_at(lo) == -1 and delta_sign_at(hi) == 1
@@ -192,7 +192,8 @@ def test_criterion_5_oracle_equivalence():
         g2 = build_g(norm)
         shared = poly_gcd(res, g2)
         a = Fraction(norm.a)
-        assert sturm_count(shared, Fraction(0), a) == sturm_count(g2, Fraction(0), a)
+        assert (sturm_count(SturmSequence(shared), Fraction(0), a)
+                == sturm_count(SturmSequence(g2), Fraction(0), a))
     print("\nPASS criterion 5: grid scan equals solve on 200 games; "
           "resultant contains every quintic root on 20 exact games")
 
@@ -291,7 +292,8 @@ def test_criterion_8_gradient_tie_in():
         a = float(norm.a)
         player = rng.choice([1, 2])
         k_other = rng.uniform(0.05 * a, 0.95 * a)
-        k_best = best_response(norm, player, k_other).k_best
+        q, r = (norm.q1, norm.r1) if player == 1 else (norm.q2, norm.r2)
+        k_best = best_gain(a - k_other, float(q), float(r))[0]
         pair = (k_best, k_other) if player == 1 else (k_other, k_best)
         if abs(a - pair[0] - pair[1]) > 0.9 - 0.02:
             continue

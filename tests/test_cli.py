@@ -12,8 +12,8 @@ import lqnash.cli as cli
 import lqnash.oracle as oracle
 import lqnash.sweep as sweep
 from lqnash.cli import canonical_dumps, main, parse_rational
-from lqnash.exactalg import UniPoly, isolate_real_roots
-from lqnash.game import exact_game, normalize
+from lqnash.exactalg import SturmSequence, UniPoly, isolate_real_roots
+from lqnash.game import GameParams, InvalidGameError, exact_game, normalize
 from lqnash.solver import ConsistencyError, build_g, fold_game, pitchfork_game
 from lqnash.sweep import CSV_COLUMNS
 
@@ -200,6 +200,22 @@ class TestSweepCommand:
         assert err.startswith("invalid sweep config")
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("name, value", [("q1", 0), ("r1", -1), ("b2", 0), ("r2", -2)])
+    def test_solve_and_sweep_refuse_a_game_with_the_same_message(self, capsys, tmp_path, name, value):
+        # both gates are GameParams.validate
+        with pytest.raises(InvalidGameError) as refused:
+            GameParams(**{"a": 1, "q1": 1, "q2": 1, "r1": 1, "r2": 1, name: value}).validate()
+        message = str(refused.value)
+        game = dict(zip(ALL_ONES[::2], ALL_ONES[1::2]))
+        game[f"--{name}"] = str(value)
+        code, _, err = run_cli(capsys, ["solve"] + [arg for item in game.items() for arg in item])
+        assert code == 2 and message in err
+        field = {"r2_values": [float(value)]} if name == "r2" else {name: float(value)}
+        path, _ = write_config(tmp_path, **field)
+        code, _, err = run_cli(capsys, ["sweep", str(path)])
+        assert code == 2 and err.startswith("invalid sweep config") and message in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, ["sweep", str(tmp_path / "nope.json")])
         assert code == 2
@@ -369,6 +385,6 @@ class TestMultipleRootGames:
     @pytest.mark.parametrize("game", multiple_root_games(), ids=["fold", "pitchfork"])
     def test_resultant_reports_the_constructed_multiplicity(self, game):
         params, k2, multiplicity, all_multiplicities = game
-        ivs = isolate_real_roots(oracle.resultant_elimination(normalize(params)))
+        ivs = isolate_real_roots(SturmSequence(oracle.resultant_elimination(normalize(params))))
         assert [iv.multiplicity for iv in ivs if iv.lo < k2 <= iv.hi] == [multiplicity]
         assert [iv.multiplicity for iv in ivs] == all_multiplicities

@@ -53,13 +53,13 @@ def sylvester_discriminant(p):
     return sign * resultant(p, poly_derivative(p)) / p.coeffs[-1]
 
 
-def _reference_refine(p, iv, width):
+def _reference_refine(seq, iv, width):
     """Bisection on `Fraction` midpoints, the loop `refine_root` replaced.
 
     Signs come from `poly_eval` on the square-free part, not from the
     integer evaluator under test.
     """
-    sf = UniPoly(SturmSequence.of(p).sf_ints)
+    sf = UniPoly(seq.sf_ints)
 
     def sign(x):
         value = poly_eval(sf, x)
@@ -203,7 +203,7 @@ class TestDiscriminant:
         d = discriminant(ALL_ONES_2G)
         assert d == -1294336  # 2^8 times the unscaled value -5056
         # degree five with three distinct real roots: one conjugate pair, negative
-        assert sturm_count(ALL_ONES_2G, NEG_INF, POS_INF) == 3
+        assert sturm_count(SturmSequence(ALL_ONES_2G), NEG_INF, POS_INF) == 3
         assert d < 0
 
     def test_rejects_low_degree(self):
@@ -213,13 +213,13 @@ class TestDiscriminant:
 
 class TestSturm:
     def test_two_real_roots(self):
-        assert sturm_count(X2_MINUS_1, NEG_INF, POS_INF) == 2
+        assert sturm_count(SturmSequence(X2_MINUS_1), NEG_INF, POS_INF) == 2
 
     def test_no_real_roots(self):
-        assert sturm_count(UniPoly([1, 0, 1]), NEG_INF, POS_INF) == 0
+        assert sturm_count(SturmSequence(UniPoly([1, 0, 1])), NEG_INF, POS_INF) == 0
 
     def test_all_ones_quintic_unit_interval(self):
-        assert sturm_count(ALL_ONES_2G, 0, 1) == 1
+        assert sturm_count(SturmSequence(ALL_ONES_2G), 0, 1) == 1
 
     def test_counts_match_construction(self):
         rng = random.Random(99)
@@ -229,11 +229,13 @@ class TestSturm:
             for r in roots:
                 for _ in range(rng.randint(1, 3)):
                     p = p * UniPoly([-r, 1])
-            assert sturm_count(p, NEG_INF, POS_INF) == len(roots)
+            assert sturm_count(SturmSequence(p), NEG_INF, POS_INF) == len(roots)
 
 
 class TestSturmSequence:
     def test_prebuilt_sequence_answers_like_the_polynomial(self):
+        # one sequence serves every query in turn, and answers each as a
+        # sequence built fresh from the polynomial for that query alone
         rng = random.Random(12)
         width = Fraction(1, 2**40)
         for _ in range(60):
@@ -241,13 +243,18 @@ class TestSturmSequence:
             p = from_roots(roots + roots[: rng.randint(0, 2)])
             seq = SturmSequence(p)
             assert seq.square_free == (square_free_part(p).degree == p.degree)
-            assert sturm_count(seq, NEG_INF, POS_INF) == sturm_count(p, NEG_INF, POS_INF)
+            assert sturm_count(seq, NEG_INF, POS_INF) == sturm_count(
+                SturmSequence(p), NEG_INF, POS_INF
+            )
             ivs = isolate_real_roots(seq)
-            assert ivs == isolate_real_roots(p)
-            assert isolate_roots_in_interval(seq, -1, 1) == isolate_roots_in_interval(p, -1, 1)
+            assert ivs == isolate_real_roots(SturmSequence(p))
+            assert isolate_roots_in_interval(seq, -1, 1) == isolate_roots_in_interval(
+                SturmSequence(p), -1, 1
+            )
             assert [refine_root(seq, iv, width) for iv in ivs] == [
-                refine_root(p, iv, width) for iv in ivs
+                refine_root(SturmSequence(p), iv, width) for iv in ivs
             ]
+            assert sturm_count(seq, NEG_INF, POS_INF) == len(set(roots)) == len(ivs)
 
     def test_divided_chain_counts_like_a_fresh_square_free_chain(self):
         # p's own chain divided by gcd(p, p') against a new chain of p / gcd,
@@ -274,20 +281,20 @@ class TestSturmSequence:
 
 class TestIsolation:
     def test_double_plus_simple(self):
-        p = from_roots([1, 1, -2])
-        ivs = isolate_real_roots(p)
+        ivs = isolate_real_roots(SturmSequence(from_roots([1, 1, -2])))
         assert len(ivs) == 2
         assert ivs[0].lo < -2 <= ivs[0].hi and ivs[0].multiplicity == 1
         assert ivs[1].lo < 1 <= ivs[1].hi and ivs[1].multiplicity == 2
 
     def test_no_real_roots(self):
-        assert isolate_real_roots(UniPoly([1, 0, 1])) == []
+        assert isolate_real_roots(SturmSequence(UniPoly([1, 0, 1]))) == []
 
     def test_all_ones_quintic_three_regions(self):
-        ivs = isolate_real_roots(ALL_ONES_2G)
+        seq = SturmSequence(ALL_ONES_2G)
+        ivs = isolate_real_roots(seq)
         assert len(ivs) == 3
         width = Fraction(1, 2**30)
-        roots = [refine_root(ALL_ONES_2G, iv, width) for iv in ivs]
+        roots = [refine_root(seq, iv, width) for iv in ivs]
         assert roots[0] < 0
         assert 0 < roots[1] < 1
         assert roots[2] > 1
@@ -296,8 +303,7 @@ class TestIsolation:
         rng = random.Random(4)
         for _ in range(100):
             roots = sorted({rational(rng, 12, 4) for _ in range(rng.randint(2, 5))})
-            p = from_roots(roots)
-            ivs = isolate_real_roots(p)
+            ivs = isolate_real_roots(SturmSequence(from_roots(roots)))
             assert len(ivs) == len(roots)
             for iv, r in zip(ivs, roots):
                 assert iv.lo < r <= iv.hi
@@ -309,7 +315,7 @@ class TestRefine:
     def test_unit_root(self):
         iv = RootInterval(Fraction(0), Fraction(2), 1)
         width = Fraction(1, 2**30)
-        assert abs(refine_root(X2_MINUS_1, iv, width) - 1) <= width
+        assert abs(refine_root(SturmSequence(X2_MINUS_1), iv, width) - 1) <= width
 
     def test_symmetric_cubic_root(self):
         # independent bisection oracle, plain interval halving on Fractions
@@ -321,14 +327,15 @@ class TestRefine:
             else:
                 hi = mid
         oracle = (lo + hi) / 2
-        iv = isolate_roots_in_interval(SYMMETRIC_CUBIC, Fraction(0), Fraction(1))[0]
-        got = refine_root(SYMMETRIC_CUBIC, iv, Fraction(1, 10**12))
+        seq = SturmSequence(SYMMETRIC_CUBIC)
+        iv = isolate_roots_in_interval(seq, Fraction(0), Fraction(1))[0]
+        got = refine_root(seq, iv, Fraction(1, 10**12))
         assert abs(got - oracle) < Fraction(2, 10**9)
         assert abs(float(got) - 0.3554157267758450) < 1e-9
 
     def test_double_root_exact_hit(self):
-        p = UniPoly([1, -2, 1])
-        assert refine_root(p, RootInterval(Fraction(0), Fraction(2), 2), Fraction(1, 2**30)) == 1
+        seq = SturmSequence(UniPoly([1, -2, 1]))
+        assert refine_root(seq, RootInterval(Fraction(0), Fraction(2), 2), Fraction(1, 2**30)) == 1
 
     def test_sign_change_across_result(self):
         rng = random.Random(31)
@@ -336,8 +343,9 @@ class TestRefine:
         for _ in range(50):
             roots = sorted({rational(rng, 8, 3) for _ in range(rng.randint(1, 4))})
             p = from_roots(roots)
-            for iv in isolate_real_roots(p):
-                r = refine_root(p, iv, width)
+            seq = SturmSequence(p)
+            for iv in isolate_real_roots(seq):
+                r = refine_root(seq, iv, width)
                 sf = square_free_part(p)
                 lo_val, hi_val = poly_eval(sf, r - width), poly_eval(sf, r + width)
                 assert lo_val == 0 or hi_val == 0 or (lo_val < 0) != (hi_val < 0)
@@ -352,17 +360,18 @@ class TestRefine:
         ],
     )
     def test_exact_exits(self, roots, lo, hi, width, expected):
-        p = from_roots(roots)
+        seq = SturmSequence(from_roots(roots))
         iv = RootInterval(Fraction(lo), Fraction(hi), 1)
-        got = refine_root(p, iv, width)
-        assert got == expected == _reference_refine(p, iv, width)
+        got = refine_root(seq, iv, width)
+        assert got == expected == _reference_refine(seq, iv, width)
         assert isinstance(got, Fraction)
 
     @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 2**60), 0.0])
     def test_nonpositive_width_is_rejected(self, width):
         # x^2 - 2 on (1, 2]: bisection towards width <= 0 would never stop
+        seq = SturmSequence(UniPoly([-2, 0, 1]))
         with pytest.raises(ValueError, match="width"):
-            refine_root(UniPoly([-2, 0, 1]), RootInterval(Fraction(1), Fraction(2), 1), width)
+            refine_root(seq, RootInterval(Fraction(1), Fraction(2), 1), width)
 
 
 coeff = st.fractions(min_value=-10, max_value=10, max_denominator=8)
@@ -406,7 +415,7 @@ def test_multiplicities_match_the_construction(mults, quadratic, c):
     p = scale(from_roots([r for r in roots for _ in range(mults[r])]), c)
     if quadratic is not None:
         p = p * UniPoly(quadratic)
-    ivs = isolate_real_roots(p)
+    ivs = isolate_real_roots(SturmSequence(p))
     assert len(ivs) == len(roots)
     for iv, r in zip(ivs, roots):
         assert iv.lo < r <= iv.hi

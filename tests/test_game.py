@@ -10,7 +10,7 @@ from lqnash.game import (
     GameParams,
     InvalidGameError,
     TrivialGame,
-    best_response,
+    best_gain,
     closed_loop,
     cost,
     denormalize_equilibrium,
@@ -22,6 +22,11 @@ from lqnash.game import (
 
 ALL_ONES = GameParams(a=1, q1=1, q2=1, r1=1, r2=1)
 SYMMETRIC_K = 0.3554157267758450
+
+
+def weights(norm, i):
+    """Player i's (q, r) as floats, the weights `best_gain` takes."""
+    return (float(norm.q1), float(norm.r1)) if i == 1 else (float(norm.q2), float(norm.r2))
 
 
 def random_norm(rng, a_hi=4.0, w_lo=-2.0, w_hi=2.0):
@@ -125,41 +130,42 @@ class TestClosedLoopAndCost:
 class TestBestResponse:
     def test_zero_at_opponent_a(self):
         norm = normalize(GameParams(a=1.7, q1=2, q2=1, r1=0.3, r2=1))
-        assert best_response(norm, 1, 1.7).k_best == 0
+        assert best_gain(float(norm.a) - 1.7, *weights(norm, 1))[0] == 0
 
     def test_interior_of_interval(self):
         rng = random.Random(12)
         for _ in range(200):
             norm = random_norm(rng)
-            br = best_response(norm, rng.choice([1, 2]), 0.0)
-            assert 0 < br.k_best < float(norm.a)
+            k_best = best_gain(float(norm.a) - 0.0, *weights(norm, rng.choice([1, 2])))[0]
+            assert 0 < k_best < float(norm.a)
 
     def test_fixed_point_at_symmetric_equilibrium(self):
-        br = best_response(normalize(ALL_ONES), 1, SYMMETRIC_K)
-        assert abs(br.k_best - SYMMETRIC_K) < 1e-12
+        norm = normalize(ALL_ONES)
+        k_best = best_gain(float(norm.a) - SYMMETRIC_K, *weights(norm, 1))[0]
+        assert abs(k_best - SYMMETRIC_K) < 1e-12
 
     def test_sign_property_10k(self):
         rng = random.Random(88)
         for _ in range(10_000):
             norm = random_norm(rng)
             k_other = rng.uniform(-2 * float(norm.a), 2 * float(norm.a))
-            br = best_response(norm, rng.choice([1, 2]), k_other)
             gap = float(norm.a) - k_other
+            k_best, s, plus = best_gain(gap, *weights(norm, rng.choice([1, 2])))
             if gap != 0:
-                assert math.copysign(1, br.k_best) == math.copysign(1, gap)
-            assert br.s_value > 0 and br.p_value > 0
+                assert math.copysign(1, k_best) == math.copysign(1, gap)
+            assert s > 0 and plus > 0  # the Riccati solution is p = plus / 2
 
     def test_magnitude_contraction(self):
         rng = random.Random(21)
         for _ in range(5_000):
             norm = random_norm(rng)
             k_other = rng.uniform(-2 * float(norm.a), 2 * float(norm.a))
-            br = best_response(norm, rng.choice([1, 2]), k_other)
             gap = float(norm.a) - k_other
+            k_best = best_gain(gap, *weights(norm, rng.choice([1, 2])))[0]
             if k_other == float(norm.a):
-                assert br.k_best == 0
+                assert k_best == 0
             else:
-                assert abs(br.k_best) < abs(gap)
+                assert abs(k_best) < abs(gap)
 
     def test_riccati_identity(self):
         rng = random.Random(77)
@@ -167,15 +173,16 @@ class TestBestResponse:
             norm = random_norm(rng)
             i = rng.choice([1, 2])
             k_other = rng.uniform(-2 * float(norm.a), 2 * float(norm.a))
-            br = best_response(norm, i, k_other)
-            q, r = (float(norm.q1), float(norm.r1)) if i == 1 else (float(norm.q2), float(norm.r2))
+            q, r = weights(norm, i)
             alpha = float(norm.a) - k_other
-            lhs = br.k_best * (r + br.p_value)
-            rhs = alpha * br.p_value
+            k_best, _, plus = best_gain(alpha, q, r)
+            p = 0.5 * plus
+            lhs = k_best * (r + p)
+            rhs = alpha * p
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
             # p solves the fixed-point form of the one-agent Riccati equation
-            ricc = br.p_value - (q + alpha * alpha * br.p_value * r / (r + br.p_value))
-            assert abs(ricc) <= 1e-10 * max(1.0, br.p_value)
+            ricc = p - (q + alpha * alpha * p * r / (r + p))
+            assert abs(ricc) <= 1e-10 * max(1.0, p)
 
 
 class TestResiduals:
@@ -212,7 +219,7 @@ class TestGradientLink:
             norm = random_norm(rng, w_lo=-0.5, w_hi=0.8)
             a = float(norm.a)
             k2 = rng.uniform(0.05 * a, 0.95 * a)
-            k1 = best_response(norm, 1, k2).k_best
+            k1 = best_gain(a - k2, *weights(norm, 1))[0]
             if abs(a - k1 - k2) > 0.95:
                 continue
             h = 1e-6

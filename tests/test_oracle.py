@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqnash.exactalg import UniPoly, sturm_count
+from lqnash.exactalg import SturmSequence, UniPoly, sturm_count
 from lqnash.game import (
     GameParams,
-    best_response,
+    best_gain,
     cost,
     exact_game,
     float_game,
@@ -144,7 +144,7 @@ class TestBrIteration:
 
     def test_start_at_a_passes_through_zero_response(self):
         norm = normalize(GameParams(a=2.2, q1=1, q2=3, r1=0.5, r2=1))
-        assert best_response(norm, 2, 2.2).k_best == 0
+        assert best_gain(float(norm.a) - 2.2, float(norm.q2), float(norm.r2))[0] == 0
         res = br_iteration(norm, 2.2)
         assert res.iterations >= 1
 
@@ -401,7 +401,8 @@ class TestResultantElimination:
             g2 = build_g(norm)
             shared = poly_gcd(res, g2)
             a = Fraction(norm.a)
-            assert sturm_count(shared, Fraction(0), a) == sturm_count(g2, Fraction(0), a)
+            assert (sturm_count(SturmSequence(shared), Fraction(0), a)
+                    == sturm_count(SturmSequence(g2), Fraction(0), a))
 
     def test_matches_sylvester_route_at_rational_k2(self):
         # at k2 not in {0, a} both residuals are quadratics in k1 of degree two

@@ -18,7 +18,7 @@ from lqnash.exactalg import (
     isolate_roots_in_interval,
     sturm_count,
 )
-from lqnash.game import GameParams, TrivialGame, best_response, exact_game, normalize, residuals
+from lqnash.game import GameParams, TrivialGame, best_gain, exact_game, normalize, residuals
 from lqnash.solver import (
     REFINE_WIDTH,
     ConsistencyError,
@@ -32,7 +32,7 @@ from lqnash.solver import (
     solve,
 )
 from reference_algebra import poly_eval, scale
-from test_exactalg import _reference_refine
+from test_exactalg import _reference_refine, sylvester_discriminant
 
 ALL_ONES = GameParams(a=1, q1=1, q2=1, r1=1, r2=1)
 SYMMETRIC_K = 0.3554157267758450
@@ -75,39 +75,40 @@ class TestBuildG:
 class TestClassify:
     def test_positive_scaling_preserves_sign_and_scales_by_eighth_power(self):
         g2 = build_g(normalize(ALL_ONES))
-        delta, sign = classify_discriminant(g2)
-        scaled_delta, scaled_sign = classify_discriminant(scale(g2, 3))
+        delta, sign = classify_discriminant(SturmSequence(g2))
+        scaled_delta, scaled_sign = classify_discriminant(SturmSequence(scale(g2, 3)))
         assert scaled_sign == sign
         assert scaled_delta == delta * 3**8
 
     def test_all_ones_value_and_sign(self):
-        delta, sign = classify_discriminant(build_g(normalize(ALL_ONES)))
+        delta, sign = classify_discriminant(SturmSequence(build_g(normalize(ALL_ONES))))
         assert delta == -5056
         assert sign == -1
         assert solve(ALL_ONES).n_nash == 1
 
     def test_fold_game_discriminant_is_exactly_zero(self):
         params, _ = fold_game(Fraction(1, 2), Fraction(1, 2))
-        delta, sign = classify_discriminant(build_g(normalize(params)))
+        delta, sign = classify_discriminant(SturmSequence(build_g(normalize(params))))
         assert delta == 0 and sign == 0
 
     def test_rejects_wrong_degree(self):
         with pytest.raises(DegenerateGameError):
-            classify_discriminant(UniPoly([1, 2, 3]))
-        with pytest.raises(DegenerateGameError):
             classify_discriminant(SturmSequence(UniPoly([1, 2, 3])))
 
     def test_prebuilt_sequence_gives_the_same_classification(self):
+        # as the Sylvester-determinant route, rescaled from g2 to g = g2 / 2
         rng = random.Random(8)
         for _ in range(40):
             g2 = build_g(normalize(random_rational_game(rng)))
-            assert classify_discriminant(SturmSequence(g2)) == classify_discriminant(g2)
+            delta, sign = classify_discriminant(SturmSequence(g2))
+            assert delta == sylvester_discriminant(g2) / 2**8
+            assert sign == (delta > 0) - (delta < 0)
 
 
 class TestCandidateRoots:
     def test_all_ones_single_root(self):
         norm = normalize(ALL_ONES)
-        roots = find_candidate_roots(build_g(norm), Fraction(norm.a))
+        roots = find_candidate_roots(SturmSequence(build_g(norm)), Fraction(norm.a))
         assert len(roots) == 1
         value, multiplicity = roots[0]
         assert multiplicity == 1
@@ -118,11 +119,10 @@ class TestCandidateRoots:
         for _ in range(150):
             params = random_float_game(rng)
             norm = normalize(params)
-            g2 = build_g(norm)
-            a = Fraction(norm.a)
-            inside = find_candidate_roots(g2, a)
+            seq = SturmSequence(build_g(norm))
+            inside = find_candidate_roots(seq, Fraction(norm.a))
             assert len(inside) <= 3
-            total = sturm_count(g2, NEG_INF, POS_INF)
+            total = sturm_count(seq, NEG_INF, POS_INF)
             assert total - len(inside) >= 2
 
     @pytest.mark.parametrize(
@@ -231,8 +231,9 @@ class TestSolve:
             for eq in report.equilibria:
                 assert 0 < eq.a_cl < 1
                 # composed best responses fix the pair
-                assert abs(best_response(norm, 2, eq.k1 * float(params.b1)).k_best
-                           - eq.k2 * float(params.b2)) <= 1e-7
+                k2 = best_gain(float(norm.a) - eq.k1 * float(params.b1),
+                               float(norm.q2), float(norm.r2))[0]
+                assert abs(k2 - eq.k2 * float(params.b2)) <= 1e-7
 
     def test_residual_characterization_breaks_under_perturbation(self):
         rng = random.Random(11)

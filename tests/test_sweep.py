@@ -53,6 +53,11 @@ class TestConfig:
             ({"r2_values": [1.0, -2.0]}, "r2_values"),
             ({"q1": 0.0}, "q1"),
             ({"b2": 0.0}, "b2"),
+            ({"r1": math.nan}, "r1 must be finite"),
+            # a count that is not a JSON integer is refused, not truncated
+            ({"a_grid": {"min": 0.5, "max": 1.0, "count": 2.5}}, "a_grid.count"),
+            ({"a_grid": {"min": 0.5, "max": 1.0, "count": True}}, "a_grid.count"),
+            ({"a_grid": {"min": 0.5, "max": 1.0, "count": "3"}}, "a_grid.count"),
         ],
     )
     def test_invariant_violations(self, patch, message):
