@@ -69,32 +69,6 @@ class UniPoly:
         lc = self.coeffs[-1]
         return UniPoly(c / lc for c in self.coeffs)
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero or other.is_zero:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
@@ -222,22 +196,23 @@ def _divexact_int(a: list[int], b: list[int]) -> list[int]:
 class SturmSequence:
     """One polynomial's remainder sequence, built once and passed to every query.
 
-    `ints` are the primitive integer coefficients of `poly`, a positive
-    multiple of it with the same signs everywhere.  `chain` is a primitive
-    integer Sturm chain of the square-free part `sf_ints`, which counting,
-    isolation and refinement share.  `discriminant` is the exact
-    discriminant of `poly`, read off the remainder sequence of (p, p'); it
-    is zero when `poly` has a multiple root.  That sequence then ends in g,
-    a multiple of gcd(p, p') that divides every element, and the quotients
-    form the chain of p / g: at each point they have the signs of the
-    elements times that of g, so every sign variation count is unchanged.
-    Each quotient of primitive polynomials is primitive (Gauss's lemma).
-    `gcd` is the sequence of g, or None when `poly` is square-free: a root
-    of multiplicity m of p is a root of multiplicity m - 1 of g.  Its
-    `discriminant` is None, since nothing reads one below the top level.
+    `degree` is the degree of the polynomial p, and `ints` are its primitive
+    integer coefficients, a positive multiple of it with the same signs
+    everywhere.  `chain` is a primitive integer Sturm chain of the
+    square-free part `sf_ints`, which counting, isolation and refinement
+    share.  `discriminant` is the exact discriminant of p, read off the
+    remainder sequence of (p, p'); it is zero when p has a multiple root.
+    That sequence then ends in g, a multiple of gcd(p, p') that divides
+    every element, and the quotients form the chain of p / g: at each point
+    they have the signs of the elements times that of g, so every sign
+    variation count is unchanged.  Each quotient of primitive polynomials is
+    primitive (Gauss's lemma).  `gcd` is the sequence of g, or None when p
+    is square-free: a root of multiplicity m of p is a root of multiplicity
+    m - 1 of g.  Its `discriminant` is None, since nothing reads one below
+    the top level.
     """
 
-    __slots__ = ("poly", "ints", "sf_ints", "chain", "square_free", "discriminant", "gcd")
+    __slots__ = ("degree", "ints", "sf_ints", "chain", "square_free", "discriminant", "gcd")
 
     def __init__(self, p: UniPoly):
         n = p.degree
@@ -248,10 +223,10 @@ class SturmSequence:
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
         # p = content * ints scales the discriminant by content^(2n-2)
         self.discriminant = sign * content ** (2 * n - 2) * Fraction(res, ints[-1])
-        self._attach_chain(p, ints, chain)
+        self._attach_chain(ints, chain)
 
-    def _attach_chain(self, p: UniPoly, ints: list[int], chain: list[list[int]]) -> None:
-        self.poly = p
+    def _attach_chain(self, ints: list[int], chain: list[list[int]]) -> None:
+        self.degree = len(ints) - 1
         self.ints = ints
         self.square_free = len(chain[-1]) == 1
         if self.square_free:
@@ -263,7 +238,7 @@ class SturmSequence:
             # drops at every level, so this recursion ends
             self.gcd = SturmSequence.__new__(SturmSequence)
             self.gcd.discriminant = None
-            self.gcd._attach_chain(UniPoly(g), g, _signed_prs(g, resultant=False)[0])
+            self.gcd._attach_chain(g, _signed_prs(g, resultant=False)[0])
         self.chain = chain
         self.sf_ints = chain[0]
 
@@ -313,7 +288,7 @@ def _chain_signs(chain: list[list[int]], x: Endpoint) -> list[int]:
 
 
 def sturm_count(seq: SturmSequence, lo: Endpoint, hi: Endpoint) -> int:
-    """Distinct real roots of seq.poly in (lo, hi]; endpoints may be POS_INF/NEG_INF."""
+    """Distinct real roots of seq's polynomial in (lo, hi]; endpoints may be POS_INF/NEG_INF."""
     chain = seq.chain
     return _variations(_chain_signs(chain, lo)) - _variations(_chain_signs(chain, hi))
 

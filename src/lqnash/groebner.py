@@ -1,9 +1,11 @@
 """Minimal Buchberger engine for bivariate systems over exact rationals.
 
-Monomials are exponent pairs (e1, e2) for the two policy variables, ordered
-lexicographically with the first variable largest, so the reduced basis of a
-zero-dimensional ideal triangularizes and exposes a univariate member in the
-second variable.
+A polynomial is a plain dict {(e1, e2): coefficient} from exponent pairs for
+the two policy variables to `int` or `Fraction` coefficients; zero
+coefficients may appear in the input and never in the output.  Monomials are
+ordered lexicographically with the first variable largest, so the reduced
+basis of a zero-dimensional ideal triangularizes and exposes a univariate
+member in the second variable.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .exactalg import UniPoly
 
@@ -38,82 +39,6 @@ def monomial_div(m1: Monomial, m2: Monomial) -> Monomial:
     return (m1[0] - m2[0], m1[1] - m2[1])
 
 
-class MultiPoly:
-    """Sparse bivariate polynomial: map from exponent pair to nonzero rational.
-
-    Coefficients are kept as given when they are `int` or `Fraction`, and
-    converted exactly to `Fraction` otherwise; terms with the same monomial
-    are added.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Monomial, Fraction] | Iterable[tuple[Monomial, Fraction]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Monomial, int | Fraction] = {}
-        for m, c in items:
-            if type(c) is not int and type(c) is not Fraction:
-                c = Fraction(c)
-            m = (int(m[0]), int(m[1]))
-            clean[m] = clean[m] + c if m in clean else c
-        object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def leading_monomial(self) -> Monomial:
-        return max(self.terms)
-
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[max(self.terms)]
-
-    def monic(self) -> "MultiPoly":
-        if self.is_zero:
-            return self
-        lc = self.leading_coefficient()
-        return MultiPoly({m: Fraction(c, lc) for m, c in self.terms.items()})
-
-    def term_mul(self, coeff: Fraction, mono: Monomial) -> "MultiPoly":
-        if coeff == 0:
-            return MultiPoly()
-        return MultiPoly({monomial_mul(m, mono): c * coeff for m, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, Fraction(0)) - c
-            if v == 0:
-                out.pop(m, None)
-            else:
-                out[m] = v
-        return MultiPoly(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), reverse=True)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "MultiPoly(0)"
-        parts = []
-        for (e1, e2), c in self.sorted_terms():
-            mono = "".join(
-                f"*{v}^{e}" if e > 1 else (f"*{v}" if e == 1 else "")
-                for v, e in (("k1", e1), ("k2", e2))
-            )
-            parts.append(f"{c}{mono}")
-        return "MultiPoly(" + " + ".join(parts) + ")"
-
-
 # The engine itself runs on primitive integer multiples of the polynomials,
 # as {monomial: int} dicts: scaling a polynomial by a nonzero constant moves
 # no leading monomial, so pair order, both criteria and every zero test take
@@ -127,9 +52,18 @@ def _primitive(terms: IntTerms) -> IntTerms:
     return terms if g == 1 else {m: c // g for m, c in terms.items()}
 
 
-def _integer_multiple(f: MultiPoly) -> IntTerms:
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    return _primitive({m: c.numerator * (den // c.denominator) for m, c in f.terms.items()})
+def _integer_multiple(f: dict[Monomial, int | Fraction]) -> IntTerms:
+    """Primitive integer multiple of f without its zero terms; empty for zero.
+
+    The engine keeps no zero term, so the largest key of each polynomial is
+    its leading monomial.  Inputs may hold zeros: a cubic's k1 coefficient
+    r + q - a^2 r vanishes at a = 2, q = 3, r = 1.
+    """
+    f = {m: c for m, c in f.items() if c}
+    if not f:
+        return f
+    den = math.lcm(*(c.denominator for c in f.values()))
+    return _primitive({m: c.numerator * (den // c.denominator) for m, c in f.items()})
 
 
 def _s_polynomial(f: IntTerms, lmf: Monomial, g: IntTerms, lmg: Monomial) -> IntTerms:
@@ -192,14 +126,14 @@ def _pair_key(lmi: Monomial, lmj: Monomial) -> tuple:
     return (lcm[0] + lcm[1], lcm)
 
 
-def buchberger(system: list[MultiPoly]) -> list[MultiPoly]:
+def buchberger(system: list[dict[Monomial, int | Fraction]]) -> list[dict[Monomial, Fraction]]:
     """Reduced Groebner basis of the input system (lex, k1 > k2).
 
     Pairs are processed in normal (lowest lcm degree) order and pruned with
     the product and chain criteria; the output is autoreduced with monic
     leading coefficients and sorted by ascending leading monomial.
     """
-    basis = [_integer_multiple(f) for f in system if not f.is_zero]
+    basis = [g for g in map(_integer_multiple, system) if g]
     if not basis:
         raise ValueError("buchberger requires a nonempty system of nonzero polynomials")
     lms = [max(g) for g in basis]
@@ -243,7 +177,7 @@ def buchberger(system: list[MultiPoly]) -> list[MultiPoly]:
     return _autoreduce(basis, lms)
 
 
-def _autoreduce(basis: list[IntTerms], lms: list[Monomial]) -> list[MultiPoly]:
+def _autoreduce(basis: list[IntTerms], lms: list[Monomial]) -> list[dict[Monomial, Fraction]]:
     minimal = []
     for i, g in enumerate(basis):
         if any(
@@ -259,22 +193,22 @@ def _autoreduce(basis: list[IntTerms], lms: list[Monomial]) -> list[MultiPoly]:
         r = _reduce(g, others) if others else g
         if r:
             lc = r[max(r)]
-            reduced.append(MultiPoly({m: Fraction(c, lc) for m, c in r.items()}))
-    reduced.sort(key=lambda g: g.leading_monomial())
+            reduced.append({m: Fraction(c, lc) for m, c in r.items()})
+    reduced.sort(key=max)
     return reduced
 
 
-def elimination_polynomial(basis: list[MultiPoly]) -> UniPoly:
-    """The monic basis member free of k1, as a univariate polynomial in k2.
+def elimination_polynomial(basis: list[dict[Monomial, Fraction]]) -> UniPoly:
+    """The basis member free of k1, as a univariate polynomial in k2; monic,
+    as every member of a basis from `buchberger` is.
 
     Raises EliminationError when the basis has no such member (the ideal is
     not zero-dimensional, or was computed under the wrong ordering).
     """
     for g in basis:
-        if all(m[0] == 0 for m in g.terms):
-            degree = max(m[1] for m in g.terms)
-            coeffs = [Fraction(0)] * (degree + 1)
-            for (_, e2), c in g.terms.items():
+        if all(m[0] == 0 for m in g):
+            coeffs = [0] * (max(m[1] for m in g) + 1)
+            for (_, e2), c in g.items():
                 coeffs[e2] = c
-            return UniPoly(coeffs).monic()
+            return UniPoly(coeffs)
     raise EliminationError("basis has no univariate member in k2")

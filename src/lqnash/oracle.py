@@ -325,7 +325,7 @@ def _k1_coefficients(p) -> list[list[int]]:
     lists in ascending powers of k2 (both residuals are quadratic in each
     gain; exponent pairs are (k1, k2))."""
     by_power = [[0] * 3 for _ in range(3)]
-    for (i, j), c in p.terms.items():
+    for (i, j), c in p.items():
         by_power[i][j] = c
     return by_power[::-1]
 

@@ -87,9 +87,8 @@ def build_g(norm: NormalizedGame) -> UniPoly:
 
 
 def stationarity_system(norm: NormalizedGame):
-    """Both players' stationarity cubics as bivariate polynomials with
-    integer coefficients, exponent pairs (k1, k2); the first half of
-    `scaled_stationarity_system`."""
+    """Both players' stationarity cubics as dicts {(k1 exponent, k2
+    exponent): int}; the first half of `scaled_stationarity_system`."""
     return scaled_stationarity_system(norm)[0]
 
 
@@ -106,15 +105,12 @@ def scaled_stationarity_system(norm: NormalizedGame):
     the Buchberger engine triangularizes and the direct resultant eliminates
     k1 from; their common stabilizing roots are exactly the Nash equilibria.
     Assembled from the parameters' numerators and denominators,
-    independently of `build_g`.
+    independently of `build_g`; a coefficient may be zero.
     """
-    from .groebner import MultiPoly
-
     a = _ratio(norm.a)
     d1, own1 = _scaled_cubic(a, _ratio(norm.q1), _ratio(norm.r1))
     d2, own2 = _scaled_cubic(a, _ratio(norm.q2), _ratio(norm.r2))
-    system = [MultiPoly(own1), MultiPoly({(j, i): c for (i, j), c in own2.items()})]
-    return system, (d1, d2)
+    return [own1, {(j, i): c for (i, j), c in own2.items()}], (d1, d2)
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -149,7 +145,7 @@ def classify_discriminant(seq: SturmSequence) -> tuple[Fraction, int]:
     the positivity invariants make a degenerate leading coefficient
     impossible, so reaching it means corrupted input.
     """
-    degree = seq.poly.degree
+    degree = seq.degree
     if degree != 5:
         raise DegenerateGameError(f"expected a degree-5 polynomial, got degree {degree}")
     # g = g2 / G_SCALE scales the degree-5 discriminant by G_SCALE^-(2*5-2)

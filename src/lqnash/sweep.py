@@ -85,8 +85,8 @@ def parse_config(doc: dict) -> SweepConfig:
     try:
         grid_doc = doc["a_grid"]
         grid = AGrid(
-            min=float(grid_doc["min"]),
-            max=float(grid_doc["max"]),
+            min=_number(grid_doc["min"], "a_grid.min"),
+            max=_number(grid_doc["max"], "a_grid.max"),
             count=grid_doc["count"],
             spacing=str(grid_doc.get("spacing", "linear")),
         )
@@ -96,21 +96,30 @@ def parse_config(doc: dict) -> SweepConfig:
             svg=str(outputs_doc["svg"]) if outputs_doc.get("svg") else None,
             json=str(outputs_doc["json"]) if outputs_doc.get("json") else None,
         )
+        if not isinstance(doc["r2_values"], list):
+            raise ConfigError("r2_values must be a JSON array")
         config = SweepConfig(
-            q1=float(doc["q1"]),
-            r1=float(doc["r1"]),
-            q2=float(doc["q2"]),
-            b1=float(doc.get("b1", 1.0)),
-            b2=float(doc.get("b2", 1.0)),
-            x0=float(doc.get("x0", 1.0)),
+            q1=_number(doc["q1"], "q1"),
+            r1=_number(doc["r1"], "r1"),
+            q2=_number(doc["q2"], "q2"),
+            b1=_number(doc.get("b1", 1.0), "b1"),
+            b2=_number(doc.get("b2", 1.0), "b2"),
+            x0=_number(doc.get("x0", 1.0), "x0"),
             a_grid=grid,
-            r2_values=tuple(float(v) for v in doc["r2_values"]),
+            r2_values=tuple(_number(v, "r2_values entry") for v in doc["r2_values"]),
             outputs=outputs,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed sweep config: {exc}") from exc
     _validate(config)
     return config
+
+
+def _number(value, field: str) -> float:
+    # bool is an int subclass, so float() would read true as 1.0
+    if isinstance(value, bool):
+        raise ConfigError(f"{field} must be a number, not {json.dumps(value)}")
+    return float(value)
 
 
 def _validate(config: SweepConfig) -> None:

@@ -8,7 +8,6 @@ import numpy as np
 from lqnash.exactalg import RationalLike, SturmSequence, UniPoly
 from lqnash.game import NormalizedGame, best_gain, closed_loop, float_game, residuals
 from lqnash.groebner import (
-    MultiPoly,
     Monomial,
     monomial_div,
     monomial_divides,
@@ -18,10 +17,18 @@ from lqnash.groebner import (
 from lqnash.oracle import BrIterationResult, TrajectorySample, _dedup, _newton_polish
 
 
+def poly_mul(p: UniPoly, q: UniPoly) -> UniPoly:
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return UniPoly(out)
+
+
 def from_roots(roots: list[RationalLike]) -> UniPoly:
     p = UniPoly((1,))
     for r in roots:
-        p = p * UniPoly((-Fraction(r), 1))
+        p = poly_mul(p, UniPoly((-Fraction(r), 1)))
     return p
 
 
@@ -166,23 +173,24 @@ def lex_compare(m1: tuple[int, int], m2: tuple[int, int]) -> int:
 
 # The stationarity system as lqnash built it over Fractions, before it
 # assembled integer multiples of the two cubics from numerators and
-# denominators.
+# denominators.  Bivariate polynomials are {(k1 exponent, k2 exponent):
+# coefficient} dicts, as in lqnash.groebner.
 
 
-def stationarity_cubics(norm: NormalizedGame) -> list[MultiPoly]:
+def stationarity_cubics(norm: NormalizedGame) -> list[dict[Monomial, Fraction]]:
     """Both players' stationarity cubics with exact rational coefficients,
-    exponent pairs (k1, k2)."""
+    one of which may be zero."""
     a = Fraction(norm.a)
     q1, q2 = Fraction(norm.q1), Fraction(norm.q2)
     r1, r2 = Fraction(norm.r1), Fraction(norm.r2)
-    p1 = MultiPoly({
+    p1 = {
         (2, 1): -r1, (2, 0): a * r1, (1, 2): -r1, (1, 1): 2 * a * r1,
         (1, 0): r1 + q1 - a * a * r1, (0, 1): q1, (0, 0): -a * q1,
-    })
-    p2 = MultiPoly({
+    }
+    p2 = {
         (1, 2): -r2, (0, 2): a * r2, (2, 1): -r2, (1, 1): 2 * a * r2,
         (0, 1): r2 + q2 - a * a * r2, (1, 0): q2, (0, 0): -a * q2,
-    })
+    }
     return [p1, p2]
 
 
@@ -193,31 +201,40 @@ def stationarity_scale(norm: NormalizedGame, player: int) -> int:
 
 
 # The Buchberger engine as lqnash ran it over Fractions: the textbook
-# division and S-polynomial, each normalizing to monic as it goes.
+# division and S-polynomial, each normalizing to monic as it goes.  The
+# leading monomial of a polynomial without zero terms is max(f).
 
 
-def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+def _monic(f: dict) -> dict:
+    lc = f[max(f)]
+    return {m: Fraction(c, lc) for m, c in f.items()}
+
+
+def s_polynomial(f: dict, g: dict) -> dict:
     """Leading-term cancelling combination (L/lt(f)) f - (L/lt(g)) g."""
-    if f.is_zero or g.is_zero:
+    if not f or not g:
         raise ValueError("s_polynomial requires nonzero polynomials")
-    lmf, lmg = f.leading_monomial(), g.leading_monomial()
-    lcm = monomial_lcm(lmf, lmg)
-    tf = f.term_mul(Fraction(1, f.leading_coefficient()), monomial_div(lcm, lmf))
-    tg = g.term_mul(Fraction(1, g.leading_coefficient()), monomial_div(lcm, lmg))
-    return tf - tg
+    lcm = monomial_lcm(max(f), max(g))
+    out: dict[Monomial, Fraction] = {}
+    for p, sign in ((_monic(f), 1), (_monic(g), -1)):
+        shift = monomial_div(lcm, max(p))
+        for m, c in p.items():
+            t = monomial_mul(m, shift)
+            out[t] = out.get(t, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
 
 
-def reduce(f: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
+def reduce(f: dict, basis: list[dict]) -> dict:
     """Multivariate division remainder of f by the basis.
 
     No term of the result is divisible by any basis leading monomial, and the
     difference f - result lies in the ideal generated by the basis.
     """
-    if any(g.is_zero for g in basis):
+    if not all(basis):
         raise ValueError("reduce requires nonzero basis members")
-    lead = [(g.leading_monomial(), g) for g in basis]
+    lead = [(max(g), g) for g in basis]
     rem: dict[Monomial, Fraction] = {}
-    work = dict(f.terms)
+    work = dict(f)
     while work:
         m = max(work)
         c = work.pop(m)
@@ -225,9 +242,9 @@ def reduce(f: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
             continue
         for lm, g in lead:
             if monomial_divides(lm, m):
-                factor = Fraction(c, g.leading_coefficient())
+                factor = Fraction(c, g[lm])
                 shift = monomial_div(m, lm)
-                for gm, gc in g.terms.items():
+                for gm, gc in g.items():
                     if gm == lm:
                         continue
                     t = monomial_mul(gm, shift)
@@ -239,7 +256,7 @@ def reduce(f: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
                 break
         else:
             rem[m] = rem.get(m, Fraction(0)) + c
-    return MultiPoly(rem)
+    return rem
 
 
 def _pair_key(lmi: Monomial, lmj: Monomial) -> tuple:
@@ -247,14 +264,15 @@ def _pair_key(lmi: Monomial, lmj: Monomial) -> tuple:
     return (lcm[0] + lcm[1], lcm)
 
 
-def buchberger(system: list[MultiPoly]) -> list[MultiPoly]:
+def buchberger(system: list[dict]) -> list[dict]:
     """Reduced Groebner basis of the input system (lex, k1 > k2).
 
     Pairs are processed in normal (lowest lcm degree) order and pruned with
     the product and chain criteria; the output is autoreduced with monic
-    leading coefficients and sorted by ascending leading monomial.
+    leading coefficients and sorted by ascending leading monomial.  Zero
+    terms of the input are dropped first.
     """
-    basis = [f.monic() for f in system if not f.is_zero]
+    basis = [_monic(f) for f in ({m: c for m, c in f.items() if c} for f in system) if f]
     if not basis:
         raise ValueError("buchberger requires a nonempty system of nonzero polynomials")
     pending: set[tuple[int, int]] = set()
@@ -263,11 +281,11 @@ def buchberger(system: list[MultiPoly]) -> list[MultiPoly]:
             pending.add((j, i))
 
     def chain_criterion(i: int, j: int) -> bool:
-        lcm = monomial_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
+        lcm = monomial_lcm(max(basis[i]), max(basis[j]))
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            if not monomial_divides(basis[k].leading_monomial(), lcm):
+            if not monomial_divides(max(basis[k]), lcm):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -276,22 +294,17 @@ def buchberger(system: list[MultiPoly]) -> list[MultiPoly]:
         return False
 
     while pending:
-        i, j = min(
-            pending,
-            key=lambda p: _pair_key(
-                basis[p[0]].leading_monomial(), basis[p[1]].leading_monomial()
-            ),
-        )
+        i, j = min(pending, key=lambda p: _pair_key(max(basis[p[0]]), max(basis[p[1]])))
         pending.discard((i, j))
-        lmi, lmj = basis[i].leading_monomial(), basis[j].leading_monomial()
+        lmi, lmj = max(basis[i]), max(basis[j])
         if monomial_lcm(lmi, lmj) == monomial_mul(lmi, lmj):
             continue  # product criterion: coprime leading monomials
         if chain_criterion(i, j):
             continue
         r = reduce(s_polynomial(basis[i], basis[j]), basis)
-        if r.is_zero:
+        if not r:
             continue
-        basis.append(r.monic())
+        basis.append(_monic(r))
         new = len(basis) - 1
         for k in range(new):
             pending.add((k, new))
@@ -299,8 +312,8 @@ def buchberger(system: list[MultiPoly]) -> list[MultiPoly]:
     return _autoreduce(basis)
 
 
-def _autoreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
-    lms = [g.leading_monomial() for g in basis]
+def _autoreduce(basis: list[dict]) -> list[dict]:
+    lms = [max(g) for g in basis]
     minimal = []
     for i, g in enumerate(basis):
         if any(
@@ -314,9 +327,9 @@ def _autoreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         r = reduce(g, others) if others else g
-        if not r.is_zero:
-            reduced.append(r.monic())
-    reduced.sort(key=lambda g: g.leading_monomial())
+        if r:
+            reduced.append(_monic(r))
+    reduced.sort(key=max)
     return reduced
 
 

