@@ -19,7 +19,7 @@ from fractions import Fraction
 from .exactalg import UniPoly
 # not called here: perfbench/tracing.py still wraps these two names in this module
 from .exactalg import isolate_real_roots, refine_root  # noqa: F401
-from .game import GameParams, cost, normalize, renormalize_equilibrium
+from .game import GameParams, cost, float_game, normalize, renormalize_equilibrium
 from .groebner import EliminationError, buchberger, elimination_polynomial
 from .oracle import (
     GRID_DEFAULT,
@@ -341,8 +341,9 @@ def cmd_verify(args) -> int:
     params = _game_from_args(args)
     report = solve(params)
     norm = normalize(params)
-    solved = [renormalize_equilibrium(norm, (e.k1, e.k2)) for e in report.equilibria]
-    a = float(norm.a)
+    fnorm = float_game(norm)
+    solved = [renormalize_equilibrium(fnorm, (e.k1, e.k2)) for e in report.equilibria]
+    a = fnorm.a
     failures = []
     lines = [f"solve: {len(solved)} equilibrium(s), delta sign {report.delta_sign}"]
 
@@ -396,7 +397,7 @@ def cmd_verify(args) -> int:
     sim_ok = True
     for k1, k2 in solved:
         final = simulate_cost(norm, k1, k2, 200)
-        closed = cost(norm, k1, k2)
+        closed = cost(fnorm, k1, k2)
         a_cl = closed.a_cl
         for partial, total in ((final.partial_cost_1, closed.j1), (final.partial_cost_2, closed.j2)):
             tail = abs(total) * abs(a_cl) ** 402 + 1e-9 * (1 + abs(total))

@@ -2,7 +2,9 @@
 
 The canonical form has a > 0 and both input gains folded away (b_i = 1); every
 other module works on `NormalizedGame` and maps results back through
-`denormalize_equilibrium`.
+`denormalize_equilibrium`.  `normalize` reads every parameter as an exact
+rational, so the canonical game holds only Fractions, whatever number types
+the parameters came in; `float_game` is its one float image.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ class TrivialGame(Exception):
         self.equilibrium = (0.0, 0.0)
 
 
+_FIELDS = ("a", "q1", "q2", "r1", "r2", "b1", "b2", "x0")
+
+
 @dataclass(frozen=True)
 class GameParams:
     """Raw description: dynamics gain a, input gains b_i, weights q_i, r_i > 0."""
@@ -40,7 +45,7 @@ class GameParams:
 
     def validate(self) -> None:
         # finiteness first, so that NaN is named as such and not as "<= 0"
-        for name in ("a", "q1", "q2", "r1", "r2", "b1", "b2", "x0"):
+        for name in _FIELDS:
             v = getattr(self, name)
             if isinstance(v, float) and not math.isfinite(v):
                 raise InvalidGameError(f"{name} must be finite")
@@ -54,7 +59,10 @@ class GameParams:
 
 @dataclass(frozen=True)
 class NormalizedGame:
-    """Canonical game: a > 0, unit input gains, adjusted control weights."""
+    """Canonical game: a > 0, unit input gains, adjusted control weights.
+
+    `normalize` fills it with Fractions and `float_game` with floats.
+    """
 
     a: Real
     q1: Real
@@ -67,27 +75,19 @@ class NormalizedGame:
 
 
 def normalize(params: GameParams) -> NormalizedGame:
-    """Fold bi into the controls (r_i -> r_i / b_i^2) and make a positive.
+    """Read every parameter as an exact rational, fold b_i into the controls
+    (r_i -> r_i / b_i^2) and make a positive.
 
-    Raises TrivialGame for a = 0.  Exact inputs stay exact: Fractions in give
-    Fractions out.
+    Raises TrivialGame for a = 0.  Every field of the result is a Fraction:
+    the same game given as ints, floats or Fractions normalizes to the same
+    canonical game, with no rounding.
     """
     params.validate()
-    if params.a == 0:
+    a, q1, q2, r1, r2, b1, b2, x0 = (Fraction(getattr(params, name)) for name in _FIELDS)
+    if a == 0:
         raise TrivialGame()
-    flip = params.a < 0
-    r1 = params.r1 / params.b1**2
-    r2 = params.r2 / params.b2**2
-    return NormalizedGame(
-        a=-params.a if flip else params.a,
-        q1=params.q1,
-        q2=params.q2,
-        r1=r1,
-        r2=r2,
-        sign_flipped=flip,
-        b_scale=(params.b1, params.b2),
-        x0=params.x0,
-    )
+    return NormalizedGame(a=abs(a), q1=q1, q2=q2, r1=r1 / (b1 * b1), r2=r2 / (b2 * b2),
+                          sign_flipped=a < 0, b_scale=(b1, b2), x0=x0)
 
 
 def denormalize_equilibrium(norm: NormalizedGame, pair: tuple[float, float]) -> tuple[float, float]:
@@ -103,34 +103,27 @@ def renormalize_equilibrium(norm: NormalizedGame, pair: tuple[float, float]) -> 
 
 
 def exact_game(norm: NormalizedGame) -> NormalizedGame:
-    """The same game with every parameter coerced to an exact rational."""
-    return NormalizedGame(
-        a=Fraction(norm.a),
-        q1=Fraction(norm.q1),
-        q2=Fraction(norm.q2),
-        r1=Fraction(norm.r1),
-        r2=Fraction(norm.r2),
-        sign_flipped=norm.sign_flipped,
-        b_scale=norm.b_scale,
-        x0=norm.x0,
-    )
+    """The same game with every parameter read back as an exact rational:
+    the inverse of `float_game` on its image.  `normalize` already returns
+    an exact game."""
+    return _each_number(norm, Fraction)
 
 
 def float_game(norm: NormalizedGame) -> NormalizedGame:
-    """The same game with every parameter rounded once to a double.
+    """The game's one float image: every parameter rounded once to a double.
 
-    Float code run on this image does plain float arithmetic; run on a
-    Fraction game, each mixed operation would take the slow Fraction path.
+    All float code (recovery, residuals, costs, the float oracles) runs on
+    this image, so it does plain float arithmetic; on the exact game each
+    mixed operation would take the slow Fraction path.
     """
+    return _each_number(norm, float)
+
+
+def _each_number(norm: NormalizedGame, number) -> NormalizedGame:
+    """The same game with `number` applied to every parameter."""
     return NormalizedGame(
-        a=float(norm.a),
-        q1=float(norm.q1),
-        q2=float(norm.q2),
-        r1=float(norm.r1),
-        r2=float(norm.r2),
-        sign_flipped=norm.sign_flipped,
-        b_scale=(float(norm.b_scale[0]), float(norm.b_scale[1])),
-        x0=float(norm.x0),
+        number(norm.a), number(norm.q1), number(norm.q2), number(norm.r1), number(norm.r2),
+        norm.sign_flipped, (number(norm.b_scale[0]), number(norm.b_scale[1])), number(norm.x0),
     )
 
 

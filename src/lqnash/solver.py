@@ -28,10 +28,12 @@ from .game import (
     best_gain,
     cost,
     denormalize_equilibrium,
-    exact_game,
+    float_game,
     normalize,
     residuals,
 )
+# not called here: perfbench/tracing.py still wraps this name in this module
+from .game import exact_game  # noqa: F401
 
 # Absolute width of a root's certified isolating interval before float
 # conversion.  Roots lie in (0, a) and a is unbounded (rational games reach
@@ -60,12 +62,10 @@ class ConsistencyError(Exception):
 def build_g(norm: NormalizedGame) -> UniPoly:
     """Twice the elimination quintic in k2, assembled exactly.
 
-    Coefficients are closed-form polynomials in (a, q1, q2, r1, r2); inputs
-    are coerced to exact rationals.
+    Coefficients are closed-form polynomials in (a, q1, q2, r1, r2), read
+    from the exact game that `normalize` returns.
     """
-    a = Fraction(norm.a)
-    q1, q2 = Fraction(norm.q1), Fraction(norm.q2)
-    r1, r2 = Fraction(norm.r1), Fraction(norm.r2)
+    a, q1, q2, r1, r2 = norm.a, norm.q1, norm.q2, norm.r1, norm.r2
     r1r1, r2r2 = r1 * r1, r2 * r2
     rr = r1r1 * r2r2
     c0 = a * a * q2 * q2 * r1r1
@@ -104,27 +104,19 @@ def scaled_stationarity_system(norm: NormalizedGame):
     which clears every denominator and moves no root.  These are the inputs
     the Buchberger engine triangularizes and the direct resultant eliminates
     k1 from; their common stabilizing roots are exactly the Nash equilibria.
-    Assembled from the parameters' numerators and denominators,
+    Assembled from the exact parameters' numerators and denominators,
     independently of `build_g`; a coefficient may be zero.
     """
-    a = _ratio(norm.a)
-    d1, own1 = _scaled_cubic(a, _ratio(norm.q1), _ratio(norm.r1))
-    d2, own2 = _scaled_cubic(a, _ratio(norm.q2), _ratio(norm.r2))
+    d1, own1 = _scaled_cubic(norm.a, norm.q1, norm.r1)
+    d2, own2 = _scaled_cubic(norm.a, norm.q2, norm.r2)
     return [own1, {(j, i): c for (i, j), c in own2.items()}], (d1, d2)
 
 
-def _ratio(x) -> tuple[int, int]:
-    """Numerator and positive denominator of x in lowest terms."""
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator, x.denominator
-
-
-def _scaled_cubic(a: tuple[int, int], q: tuple[int, int], r: tuple[int, int]):
+def _scaled_cubic(a: Fraction, q: Fraction, r: Fraction):
     """D = den(a)^2 den(q) den(r) and D times one player's residual, as
-    {(own exponent, other exponent): coefficient}; a, q and r are given as
-    (numerator, denominator) in lowest terms."""
-    (an, ad), (qn, qd), (rn, rd) = a, q, r
+    {(own exponent, other exponent): coefficient}."""
+    an, ad, qn, qd = a.numerator, a.denominator, q.numerator, q.denominator
+    rn, rd = r.numerator, r.denominator
     d = ad * ad * qd * rd
     r_d = rn * (d // rd)  # r D
     ar_d = an * rn * (d // (ad * rd))  # a r D
@@ -162,14 +154,15 @@ def find_candidate_roots(seq: SturmSequence, a: Fraction) -> list[tuple[Fraction
     """
     return [
         (refine_root(seq, iv, REFINE_WIDTH), iv.multiplicity)
-        for iv in isolate_roots_in_interval(seq, Fraction(0), Fraction(a))
+        for iv in isolate_roots_in_interval(seq, Fraction(0), a)
     ]
 
 
-def recover_k1(norm: NormalizedGame, k2: float) -> float:
-    """The admissible stationary gain of player 1 against k2: its `best_gain`,
-    whose branch is the one that satisfies the stability constraint."""
-    return best_gain(float(norm.a) - float(k2), float(norm.q1), float(norm.r1))[0]
+def recover_k1(fnorm: NormalizedGame, k2: float) -> float:
+    """The admissible stationary gain of player 1 against k2 on the game's
+    float image: its `best_gain`, whose branch is the one that satisfies the
+    stability constraint."""
+    return best_gain(fnorm.a - k2, fnorm.q1, fnorm.r1)[0]
 
 
 @dataclass(frozen=True)
@@ -250,9 +243,8 @@ def solve(params: GameParams) -> SolveReport:
     be an implementation bug, not a property of the game).
     """
     norm = normalize(params)
-    ex = exact_game(norm)
-    a = Fraction(ex.a)
-    g2 = build_g(ex)
+    a = norm.a
+    g2 = build_g(norm)
     seq = SturmSequence(g2)
     delta, delta_sign = classify_discriminant(seq)
 
@@ -264,13 +256,14 @@ def solve(params: GameParams) -> SolveReport:
     candidates = find_candidate_roots(seq, a)
     real_roots_total = roots_below + len(candidates) + roots_above
 
+    fnorm = float_game(norm)
     equilibria = []
     for approx, multiplicity in candidates:
         k2f = float(approx)
-        k1f = recover_k1(norm, k2f)
-        rho1, rho2 = residuals(norm, k1f, k2f)
-        residual_norm = max(abs(float(rho1)), abs(float(rho2)))
-        a_cl = float(norm.a) - k1f - k2f
+        k1f = recover_k1(fnorm, k2f)
+        rho1, rho2 = residuals(fnorm, k1f, k2f)
+        residual_norm = max(abs(rho1), abs(rho2))
+        a_cl = fnorm.a - k1f - k2f
         if residual_norm > TOL_VERIFY:
             raise ConsistencyError(
                 f"candidate root {k2f} failed residual verification ({residual_norm:.3e})"
@@ -279,8 +272,8 @@ def solve(params: GameParams) -> SolveReport:
             raise ConsistencyError(f"candidate root {k2f} gives closed loop {a_cl} outside (0, 1)")
         if not (0.0 < k1f and 0.0 < k2f):
             raise ConsistencyError(f"candidate pair ({k1f}, {k2f}) violates positivity bounds")
-        c = cost(norm, k1f, k2f)
-        raw_k1, raw_k2 = denormalize_equilibrium(norm, (k1f, k2f))
+        c = cost(fnorm, k1f, k2f)
+        raw_k1, raw_k2 = denormalize_equilibrium(fnorm, (k1f, k2f))
         equilibria.append(
             NashEquilibrium(
                 k1=raw_k1,

@@ -12,7 +12,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .game import GameParams, InvalidGameError
 from .solver import NashEquilibrium, TheoremFlags, solve
@@ -91,10 +90,12 @@ def parse_config(doc: dict) -> SweepConfig:
             spacing=str(grid_doc.get("spacing", "linear")),
         )
         outputs_doc = doc["outputs"]
+        if not isinstance(outputs_doc, dict):
+            raise ConfigError("outputs must be a JSON object")
         outputs = SweepOutputs(
-            csv=str(outputs_doc["csv"]),
-            svg=str(outputs_doc["svg"]) if outputs_doc.get("svg") else None,
-            json=str(outputs_doc["json"]) if outputs_doc.get("json") else None,
+            csv=_path(outputs_doc.get("csv"), "outputs.csv"),
+            svg=_path(outputs_doc.get("svg"), "outputs.svg", optional=True),
+            json=_path(outputs_doc.get("json"), "outputs.json", optional=True),
         )
         if not isinstance(doc["r2_values"], list):
             raise ConfigError("r2_values must be a JSON array")
@@ -122,6 +123,15 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
+def _path(value, field: str, optional: bool = False) -> str | None:
+    # str() would turn any JSON value into a file name
+    if value is None and optional:
+        return None
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{field} must be a nonempty string, not {json.dumps(value)}")
+    return value
+
+
 def _validate(config: SweepConfig) -> None:
     grid = config.a_grid
     # JSON readers accept NaN and Infinity
@@ -141,6 +151,11 @@ def _validate(config: SweepConfig) -> None:
         raise ConfigError("a_grid.max / a_grid.min overflows a double under log spacing")
     if not config.r2_values:
         raise ConfigError("r2_values must be nonempty")
+    # checked before solving: a write that fails would come after the whole sweep
+    for field in ("csv", "svg", "json"):
+        path = getattr(config.outputs, field)
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"outputs.{field}: no directory to write {path!r} into")
     for r2 in config.r2_values:
         try:
             GameParams(a=grid.min, q1=config.q1, q2=config.q2, r1=config.r1, r2=r2,
@@ -159,17 +174,11 @@ def a_points(grid: AGrid) -> list[float]:
     return [grid.min + i * step for i in range(grid.count)]
 
 
-def _row_for_point(task: tuple) -> SweepRow:
-    q1, r1, q2, b1, b2, x0, r2, a = task
-    params = GameParams(
-        a=Fraction(a), q1=Fraction(q1), q2=Fraction(q2),
-        r1=Fraction(r1), r2=Fraction(r2),
-        b1=Fraction(b1), b2=Fraction(b2), x0=Fraction(x0),
-    )
+def _row_for_point(params: GameParams) -> SweepRow:
     report = solve(params)
     return SweepRow(
-        a=a,
-        r2=r2,
+        a=params.a,
+        r2=params.r2,
         delta=report.delta_float,
         delta_sign=report.delta_sign,
         n_real_roots_g=report.real_roots_total,
@@ -181,7 +190,8 @@ def _row_for_point(task: tuple) -> SweepRow:
 def run_sweep(config: SweepConfig, threads: int = 1) -> list[SweepRow]:
     """One row per (r2, a) pair, ordered by (r2, a) ascending."""
     tasks = [
-        (config.q1, config.r1, config.q2, config.b1, config.b2, config.x0, r2, a)
+        GameParams(a=a, q1=config.q1, q2=config.q2, r1=config.r1, r2=r2,
+                   b1=config.b1, b2=config.b2, x0=config.x0)
         for r2 in sorted(config.r2_values)
         for a in a_points(config.a_grid)
     ]

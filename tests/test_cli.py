@@ -13,7 +13,7 @@ import lqnash.oracle as oracle
 import lqnash.sweep as sweep
 from lqnash.cli import canonical_dumps, main, parse_rational
 from lqnash.exactalg import SturmSequence, UniPoly, isolate_real_roots
-from lqnash.game import GameParams, InvalidGameError, exact_game, normalize
+from lqnash.game import GameParams, InvalidGameError, normalize
 from lqnash.solver import ConsistencyError, build_g, fold_game, pitchfork_game
 from lqnash.sweep import CSV_COLUMNS
 
@@ -221,6 +221,24 @@ class TestSweepCommand:
         assert code == 2 and err.startswith("invalid sweep config") and message in err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_output_paths_that_are_no_strings_exit_2_without_output(self, capsys, tmp_path):
+        path, _ = write_config(tmp_path, outputs={"csv": ["a", 1], "svg": True, "json": 123})
+        code, _, err = run_cli(capsys, ["sweep", str(path)])
+        assert code == 2
+        assert err.startswith("invalid sweep config") and "outputs.csv" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("kind", ["csv", "svg", "json"])
+    def test_output_in_a_missing_directory_exits_2_before_solving(self, capsys, tmp_path, kind):
+        # the other outputs are writable; none of them may be written
+        outputs = {k: str(tmp_path / f"out.{k}") for k in ("csv", "svg", "json")}
+        outputs[kind] = str(tmp_path / "missing" / f"out.{kind}")
+        path, _ = write_config(tmp_path, outputs=outputs)
+        code, _, err = run_cli(capsys, ["sweep", str(path)])
+        assert code == 2
+        assert err.startswith(f"invalid sweep config: outputs.{kind}: no directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, ["sweep", str(tmp_path / "nope.json")])
         assert code == 2
@@ -298,7 +316,7 @@ class TestVerifyCommand:
         # the quintic's degree, but another constant term
         monkeypatch.setattr(cli, "resultant_elimination",
                             lambda norm: UniPoly([c + (i == 0) for i, c in
-                                                  enumerate(build_g(exact_game(norm)).coeffs)]))
+                                                  enumerate(build_g(norm).coeffs)]))
         code, out, _ = run_cli(capsys, ["verify", *ALL_ONES])
         assert code == 4
         detail = "the resultant is not the solver's quintic"

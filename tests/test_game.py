@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqnash.game import (
     GameParams,
@@ -22,6 +24,16 @@ from lqnash.game import (
 
 ALL_ONES = GameParams(a=1, q1=1, q2=1, r1=1, r2=1)
 SYMMETRIC_K = 0.3554157267758450
+FIELDS = ("a", "q1", "q2", "r1", "r2", "b1", "b2", "x0")
+DYADIC = st.builds(Fraction, st.integers(1, 2**40), st.sampled_from([2**k for k in range(13)]))
+SIGNED_DYADIC = st.builds(lambda v, sign: sign * v, DYADIC, st.sampled_from([1, -1]))
+
+
+def _spellings(value: Fraction):
+    """The exact ways to write a dyadic value: a Fraction, a float and, when
+    it is whole, an int."""
+    kinds = [value, float(value)] + ([int(value)] if value.denominator == 1 else [])
+    return st.sampled_from(kinds)
 
 
 def weights(norm, i):
@@ -89,6 +101,23 @@ class TestNormalize:
                                     r1=Fraction(4), r2=Fraction(1), b1=Fraction(2)))
         assert norm.a == Fraction(3, 2) and isinstance(norm.a, Fraction)
         assert norm.r1 == 1 and isinstance(norm.r1, Fraction)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_number_type_normalizes_to_the_same_exact_game(self, data):
+        # each field drawn as a dyadic rational, which an int (when whole), a
+        # float and a Fraction all hold exactly; b_i also takes non-powers of
+        # two, whose square no double division folds exactly
+        values = {name: data.draw(SIGNED_DYADIC if name in ("a", "b1", "b2", "x0") else DYADIC)
+                  for name in FIELDS}
+        exact = normalize(GameParams(**values))
+        written = {name: data.draw(_spellings(v)) for name, v in values.items()}
+        norm = normalize(GameParams(**written))
+        assert norm == exact
+        assert norm.r1 == values["r1"] / values["b1"] ** 2
+        assert norm.r2 == values["r2"] / values["b2"] ** 2
+        fields = (norm.a, norm.q1, norm.q2, norm.r1, norm.r2, *norm.b_scale, norm.x0)
+        assert all(type(v) is Fraction for v in fields)
 
     def test_float_image_rounds_each_parameter_once(self):
         norm = normalize(GameParams(a=Fraction(-1, 3), q1=Fraction(2, 7), q2=3,

@@ -379,7 +379,7 @@ class TestResultantElimination:
         # the identity `verify` checks: the resultant in k1 of the
         # stationarity system is build_g's quintic, coefficient for coefficient
         norm = normalize(data.draw(IDENTITY_GAMES[kind]))
-        assert resultant_elimination(norm) == build_g(exact_game(norm))
+        assert resultant_elimination(norm) == build_g(norm)
 
     def test_degree_at_most_nine(self):
         rng = random.Random(15)
@@ -458,7 +458,7 @@ class TestStationarityEncodings:
     def test_residuals_equal_the_polynomial_system_exactly(self):
         rng = random.Random(19)
         for _ in range(100):
-            ex = exact_game(normalize(random_rational_game(rng)))
+            ex = normalize(random_rational_game(rng))
             p1, p2 = stationarity_system(ex)
             d1, d2 = stationarity_scale(ex, 1), stationarity_scale(ex, 2)
             for _ in range(5):
@@ -468,13 +468,15 @@ class TestStationarityEncodings:
                 assert (d1 * rho1, d2 * rho2) == (sum(_terms(p1, k1, k2)), sum(_terms(p2, k1, k2)))
 
     def test_jacobian_matches_exact_partial_derivatives(self):
-        # the polynomials of the game's double image, differentiated exactly;
-        # the float Jacobian must agree to 1e-12 of the size of the terms
+        # the polynomials of the game's double image, read back exactly and
+        # differentiated exactly; the float Jacobian must agree to 1e-12 of
+        # the size of the terms
         rng = random.Random(20)
         for _ in range(100):
             fnorm = float_game(normalize(random_float_game(rng)))
-            p1, p2 = stationarity_system(fnorm)
-            d1, d2 = stationarity_scale(fnorm, 1), stationarity_scale(fnorm, 2)
+            image = exact_game(fnorm)
+            p1, p2 = stationarity_system(image)
+            d1, d2 = stationarity_scale(image, 1), stationarity_scale(image, 2)
             partials = [(_partial(p, var), d) for p, d in ((p1, d1), (p2, d2)) for var in (0, 1)]
             for _ in range(5):
                 k1, k2 = rng.uniform(0, fnorm.a), rng.uniform(0, fnorm.a)

@@ -18,7 +18,7 @@ from lqnash.exactalg import (
     isolate_roots_in_interval,
     sturm_count,
 )
-from lqnash.game import GameParams, TrivialGame, best_gain, exact_game, normalize, residuals
+from lqnash.game import GameParams, TrivialGame, best_gain, float_game, normalize, residuals
 from lqnash.solver import (
     REFINE_WIDTH,
     ConsistencyError,
@@ -137,7 +137,7 @@ class TestCandidateRoots:
         ids=["odd-denominator", "fold", "pitchfork"],
     )
     def test_roots_equal_fraction_bisection(self, params):
-        ex = exact_game(normalize(params))
+        ex = normalize(params)
         a = Fraction(ex.a)
         seq = SturmSequence(build_g(ex))
         expected = [
@@ -149,18 +149,18 @@ class TestCandidateRoots:
 
 class TestRecoverK1:
     def test_symmetric_fixed_point(self):
-        assert abs(recover_k1(normalize(ALL_ONES), SYMMETRIC_K) - SYMMETRIC_K) < 1e-12
+        assert abs(recover_k1(float_game(normalize(ALL_ONES)), SYMMETRIC_K) - SYMMETRIC_K) < 1e-12
 
     def test_limit_toward_a(self):
-        norm = normalize(GameParams(a=2.5, q1=1, q2=1, r1=1, r2=1))
+        norm = float_game(normalize(GameParams(a=2.5, q1=1, q2=1, r1=1, r2=1)))
         assert recover_k1(norm, 2.5) == 0
         assert 0 < recover_k1(norm, 2.5 - 1e-9) < 1e-8
 
     def test_lemma_bounds_hold(self):
         rng = random.Random(9)
         for _ in range(300):
-            norm = normalize(random_float_game(rng))
-            a = float(norm.a)
+            norm = float_game(normalize(random_float_game(rng)))
+            a = norm.a
             k2 = rng.uniform(1e-6, a * (1 - 1e-9))
             k1 = recover_k1(norm, k2)
             assert math.copysign(1, k1) == math.copysign(1, a - k2)
@@ -221,6 +221,24 @@ class TestSolve:
         assert abs(eq.k1 + SYMMETRIC_K) < 1e-9 and abs(eq.k2 + SYMMETRIC_K) < 1e-9
         report = solve(GameParams(a=1, q1=1, q2=1, r1=4, r2=1, b1=2))
         assert abs(report.equilibria[0].k1 - SYMMETRIC_K / 2) < 1e-9
+
+    @pytest.mark.parametrize("b1", [3, 3.0, Fraction(3)], ids=["int", "float", "fraction"])
+    def test_gain_folding_is_exact_for_every_number_type(self, b1):
+        # r1 / b1^2 = 1/9 has no double; folded in floats, the discriminant
+        # had an 869-bit denominator
+        report = solve(GameParams(a=1, q1=1, q2=1, r1=1, r2=1, b1=b1))
+        assert report.delta == Fraction(-46444158400, 1853020188851841)
+
+    @pytest.mark.parametrize(
+        "game",
+        [dict(a=1, q1=1, q2=1, r1=1, r2=1, b1=3.0),
+         dict(a=0.5, q1=0.1, q2=0.2, r1=0.3, r2=0.7, b1=3.0)],
+        ids=["all-ones-b1=3.0", "float-weights-b1=3.0"],
+    )
+    def test_float_game_solves_as_its_fraction_copy(self, game):
+        report = solve(GameParams(**game))
+        copy = solve(GameParams(**{name: Fraction(v) for name, v in game.items()}))
+        assert report.delta == copy.delta and report.g2 == copy.g2
 
     def test_stability_margin_and_fixed_point(self):
         rng = random.Random(321)

@@ -25,6 +25,10 @@ from lqnash.sweep import (
 )
 
 
+# a directory this test module never creates
+MISSING_DIR = Path(__file__).parent / "no-such-directory"
+
+
 def minimal_doc(**overrides):
     doc = {
         "q1": 0.5, "r1": 1.0, "q2": 1.0,
@@ -41,6 +45,11 @@ class TestConfig:
         config = parse_config(minimal_doc())
         assert config.b1 == 1.0 and config.b2 == 1.0 and config.x0 == 1.0
         assert config.a_grid.spacing == "linear"
+        assert config.outputs == SweepOutputs(csv="out.csv")
+
+    def test_null_optional_outputs_are_omitted(self):
+        config = parse_config(minimal_doc(outputs={"csv": "out.csv", "svg": None, "json": None}))
+        assert config.outputs == SweepOutputs(csv="out.csv")
 
     @pytest.mark.parametrize(
         "patch, message",
@@ -71,6 +80,18 @@ class TestConfig:
             ({"a_grid": {"min": True, "max": 1.0, "count": 4}}, "a_grid.min must be a number"),
             ({"a_grid": {"min": 0.5, "max": True, "count": 4}}, "a_grid.max must be a number"),
             ({"r2_values": [1.0, True]}, "r2_values entry must be a number"),
+            # output paths are JSON strings, in directories that exist
+            ({"outputs": {"csv": ["a", 1]}}, r'outputs.csv must be a nonempty string, not \["a", 1\]'),
+            ({"outputs": {"csv": "out.csv", "svg": True}}, "outputs.svg must be a nonempty string"),
+            ({"outputs": {"csv": "out.csv", "json": 123}}, "outputs.json must be a nonempty string"),
+            ({"outputs": {"csv": ""}}, "outputs.csv must be a nonempty string"),
+            ({"outputs": {}}, "outputs.csv must be a nonempty string, not null"),
+            ({"outputs": ["out.csv"]}, "outputs must be a JSON object"),
+            ({"outputs": {"csv": str(MISSING_DIR / "out.csv")}}, "outputs.csv: no directory"),
+            ({"outputs": {"csv": "out.csv", "svg": str(MISSING_DIR / "out.svg")}},
+             "outputs.svg: no directory"),
+            ({"outputs": {"csv": "out.csv", "json": str(MISSING_DIR / "out.json")}},
+             "outputs.json: no directory"),
         ],
     )
     def test_invariant_violations(self, patch, message):
