@@ -9,12 +9,12 @@ Exit codes: 0 ok, 2 invalid input, 3 internal-consistency violation,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .exactalg import UniPoly
 # not called here: perfbench/tracing.py still wraps these two names in this module
@@ -79,7 +79,7 @@ def _serialize(obj, indent: int) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -93,7 +93,7 @@ def _serialize(obj, indent: int) -> str:
         if not obj:
             return "{}"
         inner = ",\n".join(
-            pad + "  " + json.dumps(str(k)) + ": " + _serialize(v, indent + 1)
+            pad + "  " + encode_basestring_ascii(str(k)) + ": " + _serialize(v, indent + 1)
             for k, v in sorted(obj.items())
         )
         return "{\n" + inner + "\n" + pad + "}"
@@ -347,7 +347,7 @@ def cmd_verify(args) -> int:
     failures = []
     lines = [f"solve: {len(solved)} equilibrium(s), delta sign {report.delta_sign}"]
 
-    scanned = grid_scan(norm, GRID_DEFAULT)
+    scanned = grid_scan(fnorm, GRID_DEFAULT)
     ok, worst, detail = _match_sets(scanned, solved, VERIFY_TOL)
     lines.append(
         f"grid_scan(n={GRID_DEFAULT}): "
@@ -365,7 +365,7 @@ def cmd_verify(args) -> int:
         starts.append(min(max(base, 1e-12), a - 1e-12))
     converged = 0
     for s in starts:
-        res = br_iteration(norm, s, max_iter=500, tol=VERIFY_TOL / 100.0)
+        res = br_iteration(fnorm, s, max_iter=500, tol=VERIFY_TOL / 100.0)
         if not res.converged:
             continue
         converged += 1
@@ -396,7 +396,7 @@ def cmd_verify(args) -> int:
     worst_sim = 0.0
     sim_ok = True
     for k1, k2 in solved:
-        final = simulate_cost(norm, k1, k2, 200)
+        final = simulate_cost(fnorm, k1, k2, 200)
         closed = cost(fnorm, k1, k2)
         a_cl = closed.a_cl
         for partial, total in ((final.partial_cost_1, closed.j1), (final.partial_cost_2, closed.j2)):

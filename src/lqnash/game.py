@@ -83,11 +83,21 @@ def normalize(params: GameParams) -> NormalizedGame:
     canonical game, with no rounding.
     """
     params.validate()
-    a, q1, q2, r1, r2, b1, b2, x0 = (Fraction(getattr(params, name)) for name in _FIELDS)
+    a, q1, q2, r1, r2, b1, b2, x0 = (_exact(getattr(params, name)) for name in _FIELDS)
     if a == 0:
         raise TrivialGame()
-    return NormalizedGame(a=abs(a), q1=q1, q2=q2, r1=r1 / (b1 * b1), r2=r2 / (b2 * b2),
+    # a unit input gain folds nothing: r / (b b) is r itself
+    if b1 * b1 != 1:
+        r1 = r1 / (b1 * b1)
+    if b2 * b2 != 1:
+        r2 = r2 / (b2 * b2)
+    return NormalizedGame(a=abs(a), q1=q1, q2=q2, r1=r1, r2=r2,
                           sign_flipped=a < 0, b_scale=(b1, b2), x0=x0)
+
+
+def _exact(v: Real) -> Fraction:
+    """v as a Fraction; a Fraction is kept as it is."""
+    return v if type(v) is Fraction else Fraction(v)
 
 
 def denormalize_equilibrium(norm: NormalizedGame, pair: tuple[float, float]) -> tuple[float, float]:
@@ -114,8 +124,12 @@ def float_game(norm: NormalizedGame) -> NormalizedGame:
 
     All float code (recovery, residuals, costs, the float oracles) runs on
     this image, so it does plain float arithmetic; on the exact game each
-    mixed operation would take the slow Fraction path.
+    mixed operation would take the slow Fraction path.  A game that already
+    is a float image is returned as it is, so converting again costs nothing.
     """
+    if all(type(v) is float for v in (norm.a, norm.q1, norm.q2, norm.r1, norm.r2,
+                                      norm.x0, *norm.b_scale)):
+        return norm
     return _each_number(norm, float)
 
 

@@ -10,7 +10,6 @@ member in the second variable.
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 
@@ -121,60 +120,78 @@ def _reduce(f: IntTerms, lead: list[tuple[Monomial, IntTerms]]) -> IntTerms:
     return _primitive(rem) if rem else rem
 
 
-def _pair_key(lmi: Monomial, lmj: Monomial) -> tuple:
-    lcm = monomial_lcm(lmi, lmj)
-    return (lcm[0] + lcm[1], lcm)
-
-
 def buchberger(system: list[dict[Monomial, int | Fraction]]) -> list[dict[Monomial, Fraction]]:
     """Reduced Groebner basis of the input system (lex, k1 > k2).
 
-    Pairs are processed in normal (lowest lcm degree) order and pruned with
-    the product and chain criteria; the output is autoreduced with monic
-    leading coefficients and sorted by ascending leading monomial.
+    Buchberger's algorithm with the Gebauer-Moeller update (J. Symbolic
+    Comput. 6, 1988): each polynomial joins the basis through `_update`,
+    which prunes pairs by the chain and product criteria and retires basis
+    elements its leading monomial divides.  Pairs are processed in normal
+    (lowest lcm degree) order.  Each S-polynomial is reduced by every
+    polynomial added so far, retired ones included, in the order they were
+    added.  Reducing by the active elements alone is correct too, but on
+    some systems its remainders' coefficients explode: on one pair of
+    random bicubics they reached about 300,000 bits, where this order
+    finds the basis in milliseconds.  The active elements are autoreduced
+    into the output, with monic leading coefficients, sorted by ascending
+    leading monomial.
     """
-    basis = [g for g in map(_integer_multiple, system) if g]
-    if not basis:
+    polys = [g for g in map(_integer_multiple, system) if g]
+    if not polys:
         raise ValueError("buchberger requires a nonempty system of nonzero polynomials")
-    lms = [max(g) for g in basis]
-    # the pairs not yet processed: a set for the chain criterion, and a heap
-    # in processing order
-    pending = {(j, i) for i in range(len(basis)) for j in range(i)}
-    queue = [(_pair_key(lms[i], lms[j]), i, j) for i, j in pending]
-    heapq.heapify(queue)
+    # every polynomial ever added, by index; `active` indexes the ones not
+    # retired, in the order they were added; `pairs` holds the pairs still
+    # to process as ((lcm degree, lcm), i, j)
+    basis: list[IntTerms] = []
+    lms: list[Monomial] = []
+    active: list[int] = []
+    pairs: list[tuple[tuple[int, Monomial], int, int]] = []
+    for f in polys:
+        _update(basis, lms, active, pairs, f)
+    while pairs:
+        pair = min(pairs)
+        pairs.remove(pair)
+        _, i, j = pair
+        r = _reduce(_s_polynomial(basis[i], lms[i], basis[j], lms[j]), list(zip(lms, basis)))
+        if r:
+            _update(basis, lms, active, pairs, r)
+    return _autoreduce([basis[k] for k in active], [lms[k] for k in active])
 
-    def chain_criterion(i: int, j: int) -> bool:
-        lcm = monomial_lcm(lms[i], lms[j])
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if not monomial_divides(lms[k], lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                return True
-        return False
 
-    while queue:
-        _, i, j = heapq.heappop(queue)
-        pending.discard((i, j))
-        lmi, lmj = lms[i], lms[j]
-        if monomial_lcm(lmi, lmj) == monomial_mul(lmi, lmj):
-            continue  # product criterion: coprime leading monomials
-        if chain_criterion(i, j):
-            continue
-        r = _reduce(_s_polynomial(basis[i], lmi, basis[j], lmj), list(zip(lms, basis)))
-        if not r:
-            continue
-        basis.append(r)
-        lms.append(max(r))
-        new = len(basis) - 1
-        for k in range(new):
-            pending.add((k, new))
-            heapq.heappush(queue, (_pair_key(lms[k], lms[new]), k, new))
+def _update(basis: list[IntTerms], lms: list[Monomial], active: list[int],
+            pairs: list, h: IntTerms) -> None:
+    """Add h to the basis in place, with the Gebauer-Moeller criteria.
 
-    return _autoreduce(basis, lms)
+    Of h's new pairs (g, h), one is dropped when the lcm of another new pair
+    divides its lcm, keeping one of several equal lcms, and then those with
+    coprime leading monomials (product criterion).  A queued pair (i, j) is
+    dropped when lm(h) divides its lcm L and neither lcm(lm(i), lm(h)) nor
+    lcm(lm(j), lm(h)) equals L (chain criterion).  Active elements whose
+    leading monomial lm(h) divides retire: they get no new pairs, and their
+    queued pairs stay.
+    """
+    new = len(basis)
+    lm_h = max(h)
+    basis.append(h)
+    lms.append(lm_h)
+    candidates = [(monomial_lcm(lms[g], lm_h), g) for g in active]
+    kept: list[tuple[Monomial, int]] = []
+    for n, (lcm, g) in enumerate(candidates):
+        if lcm == monomial_mul(lms[g], lm_h) or not (
+            any(monomial_divides(other, lcm) for other, _ in candidates[n + 1:])
+            or any(monomial_divides(other, lcm) for other, _ in kept)
+        ):
+            kept.append((lcm, g))
+    pairs[:] = [
+        p for p in pairs
+        if not monomial_divides(lm_h, p[0][1])
+        or monomial_lcm(lms[p[1]], lm_h) == p[0][1]
+        or monomial_lcm(lms[p[2]], lm_h) == p[0][1]
+    ]
+    pairs.extend(((lcm[0] + lcm[1], lcm), g, new)
+                 for lcm, g in kept if lcm != monomial_mul(lms[g], lm_h))
+    active[:] = [g for g in active if not monomial_divides(lm_h, lms[g])]
+    active.append(new)
 
 
 def _autoreduce(basis: list[IntTerms], lms: list[Monomial]) -> list[dict[Monomial, Fraction]]:

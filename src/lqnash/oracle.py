@@ -45,10 +45,13 @@ class BrIterationResult:
 
 
 def br_iteration(
-    norm: NormalizedGame, k_start: float, max_iter: int = 200, tol: float = 1e-12
+    fnorm: NormalizedGame, k_start: float, max_iter: int = 200, tol: float = 1e-12
 ) -> BrIterationResult:
-    """Fixed-point iteration x <- br1(br2(x)) from a starting gain.
+    """Fixed-point iteration x <- br1(br2(x)) from a starting gain, on the
+    game's float image (an exact game is converted by `float_game` first).
 
+    Each best response is `best_gain`'s gain, computed inline with the same
+    float operations in the same order, so the iterates are its bits.
     Non-convergence is a legitimate outcome, reported rather than raised: the
     composed map need not contract near every equilibrium.
     """
@@ -56,11 +59,26 @@ def br_iteration(
         raise ValueError("max_iter must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    fnorm = float_game(norm)
+    fnorm = float_game(fnorm)
     a, q1, r1, q2, r2 = fnorm.a, fnorm.q1, fnorm.r1, fnorm.q2, fnorm.r2
+    # best_gain's per-call constants 4 q r and 2 r
+    qr1, qr2 = 4.0 * q1 * r1, 4.0 * q2 * r2
+    two_r1, two_r2 = 2.0 * r1, 2.0 * r2
+    sqrt = math.sqrt
     x = float(k_start)
     for it in range(1, max_iter + 1):
-        nxt = best_gain(a - best_gain(a - x, q2, r2)[0], q1, r1)[0]
+        alpha = a - x
+        m = (alpha * alpha - 1.0) * r2 + q2
+        s = m * m + qr2
+        root = sqrt(s)
+        plus = m + root if m >= 0 else (s - m * m) / (root - m)
+        k2 = alpha * plus / (plus + two_r2)
+        alpha = a - k2
+        m = (alpha * alpha - 1.0) * r1 + q1
+        s = m * m + qr1
+        root = sqrt(s)
+        plus = m + root if m >= 0 else (s - m * m) / (root - m)
+        nxt = alpha * plus / (plus + two_r1)
         if abs(nxt - x) < tol:
             return BrIterationResult(True, nxt, best_gain(a - nxt, q2, r2)[0], it)
         x = nxt
@@ -109,18 +127,19 @@ def _newton_polish(fnorm: NormalizedGame, k1: float, k2: float) -> tuple[float, 
     return (k1, k2) if norm_prev <= 1e-10 * scale else None
 
 
-def grid_scan(norm: NormalizedGame, n: int = GRID_DEFAULT) -> list[tuple[float, float]]:
+def grid_scan(fnorm: NormalizedGame, n: int = GRID_DEFAULT) -> list[tuple[float, float]]:
     """Equilibrium approximations from sign changes of both residual surfaces.
 
     Scans the n x n cell grid covering (0, a)^2 (nodes include the boundary,
     where no equilibrium can sit, so edge-hugging roots are still bracketed),
     polishes every flagged cell with damped Newton, deduplicates, and keeps
     stabilizing pairs.  Output is deterministic, ordered by ascending k2
-    then k1.  All of it runs on the game rounded once to doubles.
+    then k1.  All of it runs on the game's float image (an exact game is
+    converted by `float_game` first).
     """
     if n < 16:
         raise ValueError("grid resolution must be at least 16")
-    fnorm = float_game(norm)
+    fnorm = float_game(fnorm)
     a = fnorm.a
     nodes = [a * i / n for i in range(n + 1)]
     candidates: list[tuple[float, float]] = []
@@ -351,20 +370,22 @@ class TrajectorySample(NamedTuple):
     partial_cost_2: float
 
 
-def simulate_cost(norm: NormalizedGame, k1: float, k2: float, horizon: int) -> TrajectorySample:
+def simulate_cost(fnorm: NormalizedGame, k1: float, k2: float, horizon: int) -> TrajectorySample:
     """Roll the closed loop forward, accumulating both players' stage costs
     over the steps t = 0, ..., horizon; returns the sample at t = horizon.
+    Runs on the game's float image (an exact game is converted by
+    `float_game` first).
 
     For a stabilizing pair the partial sums approach the closed-form costs
     with a geometric tail; otherwise they diverge, which is also informative.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    norm = float_game(norm)
-    a_cl = float(closed_loop(norm.a, k1, k2))
-    x = norm.x0
-    w1 = norm.q1 + norm.r1 * k1 * k1
-    w2 = norm.q2 + norm.r2 * k2 * k2
+    fnorm = float_game(fnorm)
+    a_cl = float(closed_loop(fnorm.a, k1, k2))
+    x = fnorm.x0
+    w1 = fnorm.q1 + fnorm.r1 * k1 * k1
+    w2 = fnorm.q2 + fnorm.r2 * k2 * k2
     total1 = total2 = 0.0
     for _ in range(horizon):
         total1 += w1 * x * x

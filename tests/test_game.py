@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lqnash.game import (
     GameParams,
     InvalidGameError,
+    NormalizedGame,
     TrivialGame,
     best_gain,
     closed_loop,
@@ -27,6 +28,8 @@ SYMMETRIC_K = 0.3554157267758450
 FIELDS = ("a", "q1", "q2", "r1", "r2", "b1", "b2", "x0")
 DYADIC = st.builds(Fraction, st.integers(1, 2**40), st.sampled_from([2**k for k in range(13)]))
 SIGNED_DYADIC = st.builds(lambda v, sign: sign * v, DYADIC, st.sampled_from([1, -1]))
+# input gains: +-1, which normalize does not fold, as often as any other value
+GAIN = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]), SIGNED_DYADIC)
 
 
 def _spellings(value: Fraction):
@@ -102,13 +105,23 @@ class TestNormalize:
         assert norm.a == Fraction(3, 2) and isinstance(norm.a, Fraction)
         assert norm.r1 == 1 and isinstance(norm.r1, Fraction)
 
+    def test_unit_input_gain_keeps_the_fractions_given(self):
+        q1, r1, r2 = Fraction(2, 9), Fraction(7, 3), Fraction(5, 11)
+        norm = normalize(GameParams(a=Fraction(5, 2), q1=q1, q2=1, r1=r1, r2=r2,
+                                    b1=-1, b2=Fraction(1)))
+        assert norm.q1 is q1 and norm.r1 is r1 and norm.r2 is r2
+        assert norm.b_scale == (-1, 1) and all(type(b) is Fraction for b in norm.b_scale)
+        folded = normalize(GameParams(a=Fraction(5, 2), q1=q1, q2=1, r1=r1, r2=r2, b1=-2))
+        assert folded.r1 == r1 / 4 and folded.r2 is r2
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_every_number_type_normalizes_to_the_same_exact_game(self, data):
         # each field drawn as a dyadic rational, which an int (when whole), a
         # float and a Fraction all hold exactly; b_i also takes non-powers of
         # two, whose square no double division folds exactly
-        values = {name: data.draw(SIGNED_DYADIC if name in ("a", "b1", "b2", "x0") else DYADIC)
+        values = {name: data.draw(GAIN if name in ("b1", "b2") else
+                                  SIGNED_DYADIC if name in ("a", "x0") else DYADIC)
                   for name in FIELDS}
         exact = normalize(GameParams(**values))
         written = {name: data.draw(_spellings(v)) for name, v in values.items()}
@@ -127,7 +140,13 @@ class TestNormalize:
             value = getattr(image, name)
             assert type(value) is float and value == float(getattr(norm, name))
         assert image.b_scale == (2.0, 1.0) and image.sign_flipped
-        assert float_game(image) == image
+        assert float_game(image) is image  # an image is not converted again
+
+    def test_partly_exact_game_is_converted_whole(self):
+        mixed = NormalizedGame(a=1.5, q1=1, q2=Fraction(1, 3), r1=1.0, r2=2.0, x0=2)
+        image = float_game(mixed)
+        fields = (image.a, image.q1, image.q2, image.r1, image.r2, image.x0, *image.b_scale)
+        assert all(type(v) is float for v in fields)
 
 
 class TestClosedLoopAndCost:

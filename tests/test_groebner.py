@@ -1,14 +1,18 @@
 """Buchberger engine: worked examples, basis laws, and the re-derivation of
 the elimination quintic that is this module's reason to exist."""
 
+import importlib.util
+import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lqnash.exactalg import UniPoly
 from lqnash.game import GameParams, normalize
-from lqnash.groebner import EliminationError, buchberger, elimination_polynomial
+from lqnash.groebner import EliminationError, _update, buchberger, elimination_polynomial
 from lqnash.solver import build_g, stationarity_system
 from reference_algebra import buchberger as fraction_buchberger
 from reference_algebra import lex_compare, reduce, s_polynomial
@@ -25,6 +29,17 @@ ZERO_COEFFICIENT_GAMES = [
     GameParams(a=2, q1=3, r1=1, q2=Fraction(5, 2), r2=Fraction(7, 3)),
     GameParams(a=2, q1=Fraction(5, 2), r1=Fraction(7, 3), q2=3, r2=1),
 ]
+
+
+def verify_stream_systems(count: int) -> list:
+    """Stationarity systems of the first `count` games of the benchmark's
+    seed-7 verify_oracles stream (perfbench/corpus.py)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    ops = itertools.islice(corpus.stream("verify_oracles", 7), count)
+    return [stationarity_system(normalize(op.params)) for op in ops]
 
 
 def random_rational_game(rng) -> GameParams:
@@ -160,6 +175,23 @@ class TestBuchberger:
         for system in systems:
             assert buchberger(system) == fraction_buchberger(system), system
 
+    def test_same_basis_as_the_fraction_engine_on_verify_stream_systems(self):
+        for system in verify_stream_systems(300):
+            assert buchberger(system) == fraction_buchberger(system), system
+
+    def test_same_basis_as_the_fraction_engine_on_larger_systems(self):
+        # up to four polynomials of degree up to 3 in each variable queue
+        # more pairs, so both Gebauer-Moeller criteria and retirement fire
+        rng = random.Random(77)
+        checked = 0
+        while checked < 60:
+            system = [{(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                       for _ in range(rng.randint(2, 4))}
+                      for _ in range(rng.randint(2, 4))]
+            if any(any(p.values()) for p in system):
+                assert buchberger(system) == fraction_buchberger(system), system
+                checked += 1
+
     def test_remainder_terms_not_divisible_by_basis_leads(self):
         rng = random.Random(909)
         for _ in range(50):
@@ -170,6 +202,51 @@ class TestBuchberger:
             leads = [max(g) for g in basis]
             for m in r:
                 assert not any(lm[0] <= m[0] and lm[1] <= m[1] for lm in leads)
+
+
+class TestGebauerMoellerUpdate:
+    F1 = {(2, 1): 1, (0, 0): -1}  # k1^2 k2 - 1
+    F2 = {(1, 2): 1, (0, 0): -1}  # k1 k2^2 - 1
+    H = {(1, 1): 1, (0, 0): -1}  # k1 k2 - 1
+
+    def _state(self, polys):
+        basis, lms, active, pairs = [], [], [], []
+        for f in polys:
+            _update(basis, lms, active, pairs, f)
+        return basis, lms, active, pairs
+
+    def test_pair_of_non_coprime_leads_is_queued(self):
+        *_, active, pairs = self._state([self.F1, self.F2])
+        assert active == [0, 1]
+        assert pairs == [((4, (2, 2)), 0, 1)]
+
+    def test_new_lead_dividing_old_ones_retires_them_and_drops_their_pair(self):
+        # lm(H) = k1 k2 divides lcm(lm F1, lm F2) = k1^2 k2^2, which neither
+        # lcm with lm(H) equals, so the queued pair (0, 1) is redundant; it
+        # divides both old leads, so both retire
+        *_, active, pairs = self._state([self.F1, self.F2, self.H])
+        assert active == [2]
+        assert pairs == [((3, (2, 1)), 0, 2), ((3, (1, 2)), 1, 2)]
+
+    def test_new_pair_whose_lcm_another_new_lcm_divides_is_dropped(self):
+        # with k1 and k1^2 + k2 active, k1 k2's lcm with k1 divides its lcm
+        # with k1^2 + k2, so of its two new pairs only (0, 2) is queued
+        *_, active, pairs = self._state([{(1, 0): 1}, {(2, 0): 1, (0, 1): 1},
+                                         {(1, 1): 1, (0, 0): 1}])
+        assert active == [0, 1, 2]
+        assert pairs == [((2, (2, 0)), 0, 1), ((2, (1, 1)), 0, 2)]
+
+    def test_coprime_new_pairs_are_not_queued(self):
+        *_, active, pairs = self._state([{(2, 0): 1, (0, 0): 1}, {(0, 3): 1, (0, 0): 1}])
+        assert active == [0, 1]
+        assert pairs == []
+
+    def test_bases_with_retirement_equal_the_fraction_engine(self):
+        for system in ([self.F1, self.F2, self.H], [self.H, self.F1, self.F2],
+                       [self.F1, {(1, 0): 1, (0, 1): -2}]):
+            assert buchberger(system) == fraction_buchberger(system)
+        assert buchberger([self.F1, self.F2, self.H]) == [{(0, 1): 1, (0, 0): -1},
+                                                          {(1, 0): 1, (0, 0): -1}]
 
 
 class TestElimination:

@@ -160,22 +160,40 @@ class TestBrIteration:
                 assert max(abs(rho1), abs(rho2)) <= 10 * tol * scale
 
     def test_fraction_input_runs_on_its_float_image(self):
+        # the oracle converts an exact game with float_game and never
+        # computes in Fractions (a Fraction result would compare equal too)
         for params in small_rational_games(21, 10) + SLOW_RATIONAL_GAMES:
             norm = normalize(params)
             a = float(norm.a)
             for start in (0.0, 0.3 * a, 0.7 * a, a):
-                assert br_iteration(norm, start) == br_iteration(float_game(norm), start)
+                res = br_iteration(norm, start)
+                assert res == br_iteration(float_game(norm), start)
+                assert type(res.k1) is float and type(res.k2) is float
 
     def test_same_bits_as_a_loop_of_best_response_calls(self):
         rng = random.Random(25)
         games = [random_float_game(rng) for _ in range(40)] + small_rational_games(26, 20)
         for params in games:
             norm = normalize(params)
-            a = float(norm.a)
+            fnorm = float_game(norm)
+            a = fnorm.a
             for start in (0.0, rng.uniform(0, a), a):
                 for max_iter, tol in ((200, 1e-12), (500, 1e-8), (3, 1e-12)):
-                    assert (br_iteration(norm, start, max_iter, tol)
-                            == record_br_iteration(norm, start, max_iter, tol)), params
+                    expected = record_br_iteration(norm, start, max_iter, tol)
+                    assert br_iteration(fnorm, start, max_iter, tol) == expected, params
+                    assert br_iteration(norm, start, max_iter, tol) == expected, params
+
+    def test_best_responses_take_both_radical_branches(self):
+        # best_gain's radical sum branches on m = (alpha^2 - 1) r + q: the
+        # first game has alpha = a - k < 1/2 and q = 1/100, so m < 0; the
+        # second starts at alpha = a = 3, so m > 0
+        for params in (GameParams(a=Fraction(1, 2), q1=Fraction(1, 100), q2=Fraction(1, 100),
+                                  r1=1, r2=1),
+                       GameParams(a=3, q1=2, q2=5, r1=1, r2=Fraction(1, 3))):
+            norm = normalize(params)
+            for start in (0.0, 0.25, float(norm.a)):
+                assert (br_iteration(float_game(norm), start)
+                        == record_br_iteration(norm, start, 200, 1e-12))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -229,12 +247,14 @@ class TestGridScan:
             fnorm = float_game(norm)
             xs = grid_nodes(fnorm, n)
             assert _flagged_cells(fnorm, xs) == unblocked_flagged_cells(fnorm, xs), params
-            assert grid_scan(norm, n) == unblocked_grid_scan(norm, n), params
+            assert grid_scan(fnorm, n) == unblocked_grid_scan(norm, n), params
 
     def test_fraction_input_runs_on_its_float_image(self):
         for params in small_rational_games(23, 5) + SLOW_RATIONAL_GAMES:
             norm = normalize(params)
-            assert grid_scan(norm) == grid_scan(float_game(norm))
+            pts = grid_scan(norm)
+            assert pts == grid_scan(float_game(norm))
+            assert all(type(v) is float for pair in pts for v in pair)
 
     def test_cell_flagged_unless_all_corners_share_a_strict_sign(self):
         rng = np.random.default_rng(24)
@@ -507,7 +527,17 @@ class TestSimulateCost:
             a = float(norm.a)
             k1, k2 = rng.uniform(0, a), rng.uniform(0, a)
             horizon = rng.choice([0, 1, 2, 37, 200])
-            assert simulate_cost(norm, k1, k2, horizon) == trajectory(norm, k1, k2, horizon)[-1]
+            expected = trajectory(norm, k1, k2, horizon)[-1]
+            assert simulate_cost(float_game(norm), k1, k2, horizon) == expected
+            assert simulate_cost(norm, k1, k2, horizon) == expected
+
+    def test_fraction_input_runs_on_its_float_image(self):
+        for params in small_rational_games(29, 5) + [ALL_ONES]:
+            norm = normalize(params)
+            for e in solve(params).equilibria:
+                sample = simulate_cost(norm, e.k1, e.k2, 50)
+                assert sample == simulate_cost(float_game(norm), e.k1, e.k2, 50)
+                assert all(type(v) is float for v in sample[1:])
 
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
