@@ -1,5 +1,5 @@
 """Brute-force verification paths: best-response iteration, residual grid
-scanning with Newton polish, direct resultant elimination, and trajectory
+scanning with plain Newton polish, direct resultant elimination, and trajectory
 cost simulation.
 """
 
@@ -33,7 +33,6 @@ _UNDERFLOW_SLACK = 2.0**-1060
 # that surface never drops a box.
 _HEADROOM = 2.0**1020
 NEWTON_MAX_ITER = 50
-DEDUP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,12 @@ def br_iteration(
 
     Each best response is `best_gain`'s gain, computed inline with the same
     float operations in the same order, so the iterates are its bits.
-    Non-convergence is a legitimate outcome, reported rather than raised: the
-    composed map need not contract near every equilibrium.
+    A step below `tol` is not enough: when the composed map's slope is near
+    1 the iterates creep, far from the fixed point.  The start converges only
+    when g(x) = br1(br2(x)) - x, evaluated with `best_gain`, changes sign
+    across [x - 100 tol, x + 100 tol], so that a fixed point lies within
+    100 tol.  Non-convergence is a legitimate outcome, reported rather than
+    raised: the composed map need not contract near every equilibrium.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -80,9 +83,17 @@ def br_iteration(
         plus = m + root if m >= 0 else (s - m * m) / (root - m)
         nxt = alpha * plus / (plus + two_r1)
         if abs(nxt - x) < tol:
-            return BrIterationResult(True, nxt, best_gain(a - nxt, q2, r2)[0], it)
+            lo, hi = _fixed_point_gap(fnorm, nxt - 100.0 * tol), _fixed_point_gap(fnorm, nxt + 100.0 * tol)
+            bracketed = lo <= 0.0 <= hi or hi <= 0.0 <= lo
+            return BrIterationResult(bracketed, nxt, best_gain(a - nxt, q2, r2)[0], it)
         x = nxt
     return BrIterationResult(False, x, best_gain(a - x, q2, r2)[0], max_iter)
+
+
+def _fixed_point_gap(fnorm: NormalizedGame, x: float) -> float:
+    """br1(br2(x)) - x by `best_gain`."""
+    k2 = best_gain(fnorm.a - x, fnorm.q2, fnorm.r2)[0]
+    return best_gain(fnorm.a - k2, fnorm.q1, fnorm.r1)[0] - x
 
 
 def _residual_scale(fnorm: NormalizedGame) -> float:
@@ -102,29 +113,22 @@ def _jacobian(fnorm: NormalizedGame, k1: float, k2: float):
 
 
 def _newton_polish(fnorm: NormalizedGame, k1: float, k2: float) -> tuple[float, float] | None:
-    """Damped two-dimensional Newton on the residual pair."""
+    """Plain two-dimensional Newton on the residual pair from a flagged
+    cell's centre: it converges within a few steps or fails, so each step is
+    taken whole."""
     scale = _residual_scale(fnorm)
     rho1, rho2 = residuals(fnorm, k1, k2)
-    norm_prev = math.hypot(rho1, rho2)
     for _ in range(NEWTON_MAX_ITER):
-        if norm_prev <= 1e-14 * scale:
+        if math.hypot(rho1, rho2) <= 1e-14 * scale:
             return k1, k2
         j11, j12, j21, j22 = _jacobian(fnorm, k1, k2)
         det = j11 * j22 - j12 * j21
         if det == 0 or not math.isfinite(det):
             return None
-        dk1 = (-rho1 * j22 + rho2 * j12) / det
-        dk2 = (-rho2 * j11 + rho1 * j21) / det
-        step = 1.0
-        while True:
-            t1, t2 = k1 + step * dk1, k2 + step * dk2
-            rho1, rho2 = residuals(fnorm, t1, t2)
-            norm_new = math.hypot(rho1, rho2)
-            if norm_new < norm_prev or step < 1e-8:
-                break
-            step *= 0.5  # damping on residual increase
-        k1, k2, norm_prev = t1, t2, norm_new
-    return (k1, k2) if norm_prev <= 1e-10 * scale else None
+        k1 += (-rho1 * j22 + rho2 * j12) / det
+        k2 += (-rho2 * j11 + rho1 * j21) / det
+        rho1, rho2 = residuals(fnorm, k1, k2)
+    return (k1, k2) if math.hypot(rho1, rho2) <= 1e-10 * scale else None
 
 
 def grid_scan(fnorm: NormalizedGame, n: int = GRID_DEFAULT) -> list[tuple[float, float]]:
@@ -132,7 +136,7 @@ def grid_scan(fnorm: NormalizedGame, n: int = GRID_DEFAULT) -> list[tuple[float,
 
     Scans the n x n cell grid covering (0, a)^2 (nodes include the boundary,
     where no equilibrium can sit, so edge-hugging roots are still bracketed),
-    polishes every flagged cell with damped Newton, deduplicates, and keeps
+    polishes every flagged cell with plain Newton, deduplicates, and keeps
     stabilizing pairs.  Output is deterministic, ordered by ascending k2
     then k1.  All of it runs on the game's float image (an exact game is
     converted by `float_game` first).
@@ -294,25 +298,21 @@ def _dedup(fnorm: NormalizedGame, candidates: list[tuple[float, float]]) -> list
 
     At a multiple root the residual surface is flat to second or third order,
     so independent Newton runs land on nearby but unequal points; two points
-    are merged when they are close and the residual at their midpoint is as
-    small as at a converged point, keeping the better of the two.
+    are merged when they lie within `wide` of each other and the residual at
+    their midpoint is as small as at a converged point, keeping the better
+    of the two.
     """
     flat_tol = 1e-10 * _residual_scale(fnorm)
     wide = max(1e-4, 1e-4 * fnorm.a)
     kept: list[tuple[float, float]] = []
     for p in sorted(candidates, key=lambda c: (c[1], c[0])):
-        merged = False
         for i, q in enumerate(kept):
-            near = abs(p[0] - q[0]) < DEDUP_TOL and abs(p[1] - q[1]) < DEDUP_TOL
-            if not near and abs(p[0] - q[0]) < wide and abs(p[1] - q[1]) < wide:
-                mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
-                near = _residual_norm(fnorm, *mid) <= flat_tol
-            if near:
+            if (abs(p[0] - q[0]) < wide and abs(p[1] - q[1]) < wide
+                    and _residual_norm(fnorm, 0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1])) <= flat_tol):
                 if _residual_norm(fnorm, *p) < _residual_norm(fnorm, *q):
                     kept[i] = p
-                merged = True
                 break
-        if not merged:
+        else:
             kept.append(p)
     kept.sort(key=lambda c: (c[1], c[0]))
     return kept

@@ -1,12 +1,13 @@
 """Textbook routes the tests check lqnash against; none of them runs in lqnash."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from lqnash.exactalg import RationalLike, SturmSequence, UniPoly
-from lqnash.game import NormalizedGame, best_gain, closed_loop, float_game, residuals
+from lqnash.game import GameParams, NormalizedGame, best_gain, closed_loop, float_game, residuals
 from lqnash.groebner import (
     Monomial,
     monomial_div,
@@ -15,6 +16,7 @@ from lqnash.groebner import (
     monomial_mul,
 )
 from lqnash.oracle import BrIterationResult, TrajectorySample, _dedup, _newton_polish
+from lqnash.solver import fold_game, pitchfork_game
 
 
 def poly_mul(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -383,7 +385,9 @@ def br_iteration(norm: NormalizedGame, k_start: float, max_iter: int, tol: float
     for it in range(1, max_iter + 1):
         nxt = br(1, br(2, x))
         if abs(nxt - x) < tol:
-            return BrIterationResult(True, nxt, br(2, nxt), it)
+            lo, hi = nxt - 100.0 * tol, nxt + 100.0 * tol
+            g_lo, g_hi = br(1, br(2, lo)) - lo, br(1, br(2, hi)) - hi
+            return BrIterationResult(g_lo <= 0.0 <= g_hi or g_hi <= 0.0 <= g_lo, nxt, br(2, nxt), it)
         x = nxt
     return BrIterationResult(False, x, br(2, x), max_iter)
 
@@ -404,3 +408,16 @@ def trajectory(norm: NormalizedGame, k1: float, k2: float, horizon: int) -> list
         out.append(TrajectorySample(t, x, -k1 * x, -k2 * x, total1, total2))
         x = a_cl * x
     return out
+
+
+def near_locus_games() -> list[GameParams]:
+    """378 games next to the fold and pitchfork locus, where the composed
+    best-response map's slope is near 1 and roots crowd together: four
+    pitchfork and five fold games, each with one of a, q1 and r2 multiplied
+    by 1 + 2^-e or 1 - 2^-e, e in {8, 12, 16, 24, 32, 40, 48}."""
+    bases = [pitchfork_game(Fraction(s))[0] for s in ("4/3", "3/4", "5/12", "12/5")]
+    bases += [fold_game(Fraction(c), Fraction(k1))[0]
+              for c, k1 in (("1/2", "1/2"), ("1/2", "1"), ("2/5", "3/2"), ("3/5", "1/2"), ("1/5", "2"))]
+    return [dataclasses.replace(base, **{name: getattr(base, name) * (1 + sign * Fraction(1, 2**e))})
+            for base in bases for name in ("a", "q1", "r2") for sign in (1, -1)
+            for e in (8, 12, 16, 24, 32, 40, 48)]

@@ -312,6 +312,17 @@ class TestVerifyCommand:
         assert "br_iteration: inconclusive (0/8 starts converged)" in out.splitlines()
         assert out.splitlines()[-1] == "VERDICT: PASS"
 
+    def test_start_that_stops_off_a_fixed_point_has_not_converged(self, capsys):
+        # a pitchfork game with a multiplied by 1 + 2^-12: the composed
+        # map's slope is 1.0001, and the start a 4/9 takes a step below tol
+        # 4e-5 from every equilibrium, where g(x) = br1(br2(x)) - x keeps
+        # its sign
+        near_pitchfork = "--a 12291/4096 --q1 16/9 --q2 16/9 --r1 1 --r2 1".split()
+        code, out, _ = run_cli(capsys, ["verify", *near_pitchfork])
+        assert code == 0
+        assert "br_iteration: inconclusive (0/8 starts converged)" in out.splitlines()
+        assert out.splitlines()[-1] == "VERDICT: PASS"
+
     def test_resultant_off_the_quintic_fails(self, capsys, monkeypatch):
         # the quintic's degree, but another constant term
         monkeypatch.setattr(cli, "resultant_elimination",

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lqnash.oracle as oracle
+from lqnash.cli import VERIFY_TOL
 from lqnash.exactalg import SturmSequence, UniPoly, sturm_count
 from lqnash.game import (
     GameParams,
@@ -21,9 +23,12 @@ from lqnash.game import (
     residuals,
 )
 from lqnash.oracle import (
+    GRID_DEFAULT,
+    NEWTON_MAX_ITER,
     _box_sign,
     _flagged_cells,
     _jacobian,
+    _newton_polish,
     _underflow_floor,
     br_iteration,
     grid_scan,
@@ -43,6 +48,7 @@ from reference_algebra import flagged_cells as unblocked_flagged_cells
 from reference_algebra import grid_scan as unblocked_grid_scan
 from reference_algebra import (
     h_eval,
+    near_locus_games,
     poly_eval,
     poly_gcd,
     resultant,
@@ -195,6 +201,18 @@ class TestBrIteration:
                 assert (br_iteration(float_game(norm), start)
                         == record_br_iteration(norm, start, 200, 1e-12))
 
+    def test_converged_starts_lie_at_solved_pairs_next_to_the_locus(self):
+        # verify's starts and tolerances; where the composed map's slope is
+        # near 1, a step below tol once stopped the iteration up to 4e-5 from
+        # every equilibrium
+        for params in near_locus_games():
+            fnorm = float_game(normalize(params))
+            solved = [(e.k1, e.k2) for e in solve(params).equilibria]
+            for i in range(1, 9):
+                res = br_iteration(fnorm, fnorm.a * i / 9.0, max_iter=500, tol=VERIFY_TOL / 100.0)
+                if res.converged:
+                    assert min(max(abs(res.k1 - k1), abs(res.k2 - k2)) for k1, k2 in solved) <= 10 * VERIFY_TOL, (params, i)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             br_iteration(normalize(ALL_ONES), 0.0, max_iter=0)
@@ -235,6 +253,28 @@ class TestGridScan:
     @pytest.mark.parametrize("params", SLOW_RATIONAL_GAMES)
     def test_output_matches_solve_on_formerly_slow_games(self, params):
         assert_scan_matches_solve(params)
+
+    # Next to a pitchfork's triple root, where a line-searched polish once
+    # left 5, 7 and 2 pairs along the flat valley
+    @pytest.mark.parametrize("params", [
+        GameParams(a=Fraction(5, 2), q1=Fraction(21, 16), q2=Fraction(21, 16),
+                   r1=Fraction(25, 21), r2=Fraction(25, 21)),
+        GameParams(a=3, q1=Fraction(800, 27), q2=Fraction(800, 27), r1=Fraction(50, 3), r2=Fraction(50, 3)),
+        GameParams(a=2, q1=Fraction(9, 16), q2=Fraction(9, 16), r1=1, r2=Fraction(2**32 + 1, 2**32)),
+    ])
+    def test_output_matches_solve_next_to_a_pitchfork(self, params):
+        assert_scan_matches_solve(params)
+
+    def test_polish_evaluates_residuals_once_per_step(self, monkeypatch):
+        # the a = 33/2 game flags hundreds of cells whose polishes fail
+        fnorm = float_game(normalize(SLOW_RATIONAL_GAMES[0]))
+        nodes = grid_nodes(fnorm, GRID_DEFAULT)
+        calls = []
+        monkeypatch.setattr(oracle, "residuals", lambda *args: calls.append(1) or residuals(*args))
+        for i, j in _flagged_cells(fnorm, nodes):
+            calls.clear()
+            _newton_polish(fnorm, 0.5 * (nodes[i] + nodes[i + 1]), 0.5 * (nodes[j] + nodes[j + 1]))
+            assert len(calls) <= NEWTON_MAX_ITER + 1, (i, j)
 
     @pytest.mark.parametrize("n", [16, 100, 512, 700])
     def test_row_blocks_give_the_whole_surface_result(self, n):
