@@ -23,7 +23,8 @@ def _small_rational(rng, hi=400, den=100):
 
 def golden_games():
     """Argument lists of 20 seeded small-rational games (a <= 20), the
-    all-ones game, and one with a negative dynamics and input gain."""
+    all-ones game, one with a negative dynamics and input gain, then a fold
+    and two pitchfork games, whose quintics have a double or a triple root."""
     rng = random.Random(10)
     games = [["--a", "1", "--q1", "1", "--q2", "1", "--r1", "1", "--r2", "1"],
              ["--a=-3/2", "--q1", "2", "--q2", "5/3", "--r1", "1/4", "--r2", "7",
@@ -35,6 +36,10 @@ def golden_games():
         values = [a] + [_small_rational(rng) for _ in range(4)]
         games.append([arg for name, v in zip(("a", "q1", "q2", "r1", "r2"), values)
                       for arg in (f"--{name}", str(v))])
+    for game in ("--a 16/7 --q1 1/2 --q2 1 --r1 1 --r2 98/27",
+                 "--a 2 --q1 9/16 --q2 9/16 --r1 1 --r2 1",
+                 "--a 5/2 --q1 21/16 --q2 21/16 --r1 25/21 --r2 25/21"):
+        games.append(game.split())
     return games
 
 
