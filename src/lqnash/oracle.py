@@ -51,11 +51,10 @@ def br_iteration(
 
     Each best response is `best_gain`'s gain, computed inline with the same
     float operations in the same order, so the iterates are its bits.
-    A step below `tol` is not enough: when the composed map's slope is near
-    1 the iterates creep, far from the fixed point.  The start converges only
-    when g(x) = br1(br2(x)) - x, evaluated with `best_gain`, changes sign
-    across [x - 100 tol, x + 100 tol], so that a fixed point lies within
-    100 tol.  Non-convergence is a legitimate outcome, reported rather than
+    A step below `tol` converges only when g(x) = br1(br2(x)) - x, by
+    `best_gain`, changes sign across [x - 100 tol, x + 100 tol]: where the
+    composed map's slope is near 1, small steps say nothing of the distance
+    to a fixed point.  Non-convergence is a legitimate outcome, reported rather than
     raised: the composed map need not contract near every equilibrium.
     """
     if max_iter < 1:
@@ -68,6 +67,10 @@ def br_iteration(
     qr1, qr2 = 4.0 * q1 * r1, 4.0 * q2 * r2
     two_r1, two_r2 = 2.0 * r1, 2.0 * r2
     sqrt = math.sqrt
+
+    def gap(x):  # g(x)
+        return best_gain(a - best_gain(a - x, q2, r2)[0], q1, r1)[0] - x
+
     x = float(k_start)
     for it in range(1, max_iter + 1):
         alpha = a - x
@@ -83,17 +86,10 @@ def br_iteration(
         plus = m + root if m >= 0 else (s - m * m) / (root - m)
         nxt = alpha * plus / (plus + two_r1)
         if abs(nxt - x) < tol:
-            lo, hi = _fixed_point_gap(fnorm, nxt - 100.0 * tol), _fixed_point_gap(fnorm, nxt + 100.0 * tol)
-            bracketed = lo <= 0.0 <= hi or hi <= 0.0 <= lo
-            return BrIterationResult(bracketed, nxt, best_gain(a - nxt, q2, r2)[0], it)
+            lo, hi = gap(nxt - 100.0 * tol), gap(nxt + 100.0 * tol)
+            return BrIterationResult(lo <= 0.0 <= hi or hi <= 0.0 <= lo, nxt, best_gain(a - nxt, q2, r2)[0], it)
         x = nxt
     return BrIterationResult(False, x, best_gain(a - x, q2, r2)[0], max_iter)
-
-
-def _fixed_point_gap(fnorm: NormalizedGame, x: float) -> float:
-    """br1(br2(x)) - x by `best_gain`."""
-    k2 = best_gain(fnorm.a - x, fnorm.q2, fnorm.r2)[0]
-    return best_gain(fnorm.a - k2, fnorm.q1, fnorm.r1)[0] - x
 
 
 def _residual_scale(fnorm: NormalizedGame) -> float:
@@ -113,9 +109,8 @@ def _jacobian(fnorm: NormalizedGame, k1: float, k2: float):
 
 
 def _newton_polish(fnorm: NormalizedGame, k1: float, k2: float) -> tuple[float, float] | None:
-    """Plain two-dimensional Newton on the residual pair from a flagged
-    cell's centre: it converges within a few steps or fails, so each step is
-    taken whole."""
+    """Plain two-dimensional Newton on the residual pair: from a cell's
+    centre it converges within a few steps or fails, so no step is damped."""
     scale = _residual_scale(fnorm)
     rho1, rho2 = residuals(fnorm, k1, k2)
     for _ in range(NEWTON_MAX_ITER):
@@ -298,9 +293,8 @@ def _dedup(fnorm: NormalizedGame, candidates: list[tuple[float, float]]) -> list
 
     At a multiple root the residual surface is flat to second or third order,
     so independent Newton runs land on nearby but unequal points; two points
-    are merged when they lie within `wide` of each other and the residual at
-    their midpoint is as small as at a converged point, keeping the better
-    of the two.
+    are merged when they are close and the residual at their midpoint is as
+    small as at a converged point, keeping the better of the two.
     """
     flat_tol = 1e-10 * _residual_scale(fnorm)
     wide = max(1e-4, 1e-4 * fnorm.a)
