@@ -68,7 +68,7 @@ def br_iteration(
     two_r1, two_r2 = 2.0 * r1, 2.0 * r2
     sqrt = math.sqrt
 
-    def gap(x):  # g(x)
+    def g(x):
         return best_gain(a - best_gain(a - x, q2, r2)[0], q1, r1)[0] - x
 
     x = float(k_start)
@@ -86,7 +86,7 @@ def br_iteration(
         plus = m + root if m >= 0 else (s - m * m) / (root - m)
         nxt = alpha * plus / (plus + two_r1)
         if abs(nxt - x) < tol:
-            lo, hi = gap(nxt - 100.0 * tol), gap(nxt + 100.0 * tol)
+            lo, hi = g(nxt - 100.0 * tol), g(nxt + 100.0 * tol)
             return BrIterationResult(lo <= 0.0 <= hi or hi <= 0.0 <= lo, nxt, best_gain(a - nxt, q2, r2)[0], it)
         x = nxt
     return BrIterationResult(False, x, best_gain(a - x, q2, r2)[0], max_iter)

@@ -211,7 +211,8 @@ class TestBrIteration:
             for i in range(1, 9):
                 res = br_iteration(fnorm, fnorm.a * i / 9.0, max_iter=500, tol=VERIFY_TOL / 100.0)
                 if res.converged:
-                    assert min(max(abs(res.k1 - k1), abs(res.k2 - k2)) for k1, k2 in solved) <= 10 * VERIFY_TOL, (params, i)
+                    distance = min(max(abs(res.k1 - k1), abs(res.k2 - k2)) for k1, k2 in solved)
+                    assert distance <= 10 * VERIFY_TOL, (params, i)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -254,19 +255,20 @@ class TestGridScan:
     def test_output_matches_solve_on_formerly_slow_games(self, params):
         assert_scan_matches_solve(params)
 
-    # Next to a pitchfork's triple root, where a line-searched polish once
-    # left 5, 7 and 2 pairs along the flat valley
+    # two pitchfork games and one 2^-32 from a pitchfork, where a
+    # line-searched polish once left 5, 7 and 2 pairs along the flat valley
+    # of the triple root
     @pytest.mark.parametrize("params", [
         GameParams(a=Fraction(5, 2), q1=Fraction(21, 16), q2=Fraction(21, 16),
                    r1=Fraction(25, 21), r2=Fraction(25, 21)),
         GameParams(a=3, q1=Fraction(800, 27), q2=Fraction(800, 27), r1=Fraction(50, 3), r2=Fraction(50, 3)),
         GameParams(a=2, q1=Fraction(9, 16), q2=Fraction(9, 16), r1=1, r2=Fraction(2**32 + 1, 2**32)),
     ])
-    def test_output_matches_solve_next_to_a_pitchfork(self, params):
+    def test_output_matches_solve_at_a_pitchfork(self, params):
         assert_scan_matches_solve(params)
 
     def test_polish_evaluates_residuals_once_per_step(self, monkeypatch):
-        # the a = 33/2 game flags hundreds of cells whose polishes fail
+        # the a = 33/2 game flags hundreds of cells, most of whose polishes fail
         fnorm = float_game(normalize(SLOW_RATIONAL_GAMES[0]))
         nodes = grid_nodes(fnorm, GRID_DEFAULT)
         calls = []
