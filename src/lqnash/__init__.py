@@ -14,7 +14,6 @@ their modules.
 from .game import GameParams, InvalidGameError, TrivialGame
 from .solver import (
     ConsistencyError,
-    DegenerateGameError,
     NashEquilibrium,
     SolveReport,
     fold_game,

@@ -27,16 +27,15 @@ from .oracle import (
     grid_scan,
     resultant_elimination,
     simulate_cost,
+    stationarity_system,
 )
 from .solver import (
     G_SCALE,
     ConsistencyError,
-    DegenerateGameError,
     NashEquilibrium,
     SolveReport,
     build_g,
     solve,
-    stationarity_system,
 )
 from . import sweep as sweep_mod
 from .sweep import ConfigError, format_float
@@ -457,7 +456,7 @@ def main(argv=None) -> int:
         message, code = str(exc), EXIT_INVALID
     except ConfigError as exc:
         message, code = f"invalid sweep config: {exc}", EXIT_INVALID
-    except (ConsistencyError, DegenerateGameError) as exc:
+    except ConsistencyError as exc:
         message, code = f"internal consistency error: {exc}", EXIT_INCONSISTENT
     except EliminationError as exc:
         message, code = f"elimination failed: {exc}", EXIT_DISAGREE

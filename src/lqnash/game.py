@@ -173,25 +173,23 @@ def cost(norm: NormalizedGame, k1: float, k2: float) -> CostReport:
     return CostReport(float(j1), float(j2), float(a_cl))
 
 
-def _radical_sum(m: float, s: float) -> float:
-    """m + sqrt(s) computed stably when m < 0 (s = m^2 + positive term)."""
-    root = math.sqrt(s)
-    if m >= 0:
-        return m + root
-    # root - |m| suffers cancellation; use (s - m^2) / (root + |m|)
-    return (s - m * m) / (root - m)
-
-
-def best_gain(alpha: float, q: float, r: float) -> tuple[float, float, float]:
-    """(k_best, s, m + sqrt(s)): the optimal gain of a player with weights q, r
-    facing the open-loop gain alpha = a - k_other, and its Riccati certificate
-    p = (m + sqrt(s)) / 2.  k_best has the sign of alpha and is smaller in
-    magnitude, unless alpha = 0, where it is zero.
+def best_gain(alpha: float, q: float, r: float) -> float:
+    """The optimal gain alpha p / (r + p) of a player with weights q, r
+    facing the open-loop gain alpha = a - k_other, where p > 0 solves the
+    player's Riccati equation; computed as alpha m+ / (m+ + 2 r) with
+    m+ = 2 p = m + sqrt(s), m = (alpha^2 - 1) r + q and s = m^2 + 4 q r.
+    The gain has the sign of alpha and is smaller in magnitude, unless
+    alpha = 0, where it is zero.
     """
     m = (alpha * alpha - 1.0) * r + q
     s = m * m + 4.0 * q * r
-    plus = _radical_sum(m, s)  # m + sqrt(s) > 0
-    return alpha * plus / (plus + 2.0 * r), s, plus
+    root = math.sqrt(s)
+    if m >= 0:
+        plus = m + root
+    else:
+        # root - |m| suffers cancellation; use (s - m^2) / (root + |m|)
+        plus = (s - m * m) / (root - m)
+    return alpha * plus / (plus + 2.0 * r)
 
 
 def residuals(norm: NormalizedGame, k1, k2):

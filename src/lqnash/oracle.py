@@ -1,6 +1,8 @@
 """Brute-force verification paths: best-response iteration, residual grid
 scanning with plain Newton polish, direct resultant elimination, and trajectory
-cost simulation.
+cost simulation; and the integer stationarity system that the exact oracles
+(the resultant and the Buchberger engine) start from.  This module imports
+nothing from the solver.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .game import (
     float_game,
     residuals,
 )
-from .solver import scaled_stationarity_system
 
 GRID_DEFAULT = 512
 # _flagged_cells splits a box of cells until neither side is longer than
@@ -49,13 +50,12 @@ def br_iteration(
     """Fixed-point iteration x <- br1(br2(x)) from a starting gain, on the
     game's float image (an exact game is converted by `float_game` first).
 
-    Each best response is `best_gain`'s gain, computed inline with the same
-    float operations in the same order, so the iterates are its bits.
-    A step below `tol` converges only when g(x) = br1(br2(x)) - x, by
-    `best_gain`, changes sign across [x - 100 tol, x + 100 tol]: where the
-    composed map's slope is near 1, small steps say nothing of the distance
-    to a fixed point.  Non-convergence is a legitimate outcome, reported rather than
-    raised: the composed map need not contract near every equilibrium.
+    Each best response is `best_gain`'s gain.  A step below `tol` converges
+    only when g(x) = br1(br2(x)) - x changes sign across [x - 100 tol,
+    x + 100 tol]: where the composed map's slope is near 1, small steps say
+    nothing of the distance to a fixed point.  Non-convergence is a
+    legitimate outcome, reported rather than raised: the composed map need
+    not contract near every equilibrium.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -63,33 +63,19 @@ def br_iteration(
         raise ValueError("tol must be > 0")
     fnorm = float_game(fnorm)
     a, q1, r1, q2, r2 = fnorm.a, fnorm.q1, fnorm.r1, fnorm.q2, fnorm.r2
-    # best_gain's per-call constants 4 q r and 2 r
-    qr1, qr2 = 4.0 * q1 * r1, 4.0 * q2 * r2
-    two_r1, two_r2 = 2.0 * r1, 2.0 * r2
-    sqrt = math.sqrt
 
-    def g(x):
-        return best_gain(a - best_gain(a - x, q2, r2)[0], q1, r1)[0] - x
+    def step(x):
+        return best_gain(a - best_gain(a - x, q2, r2), q1, r1)
 
     x = float(k_start)
     for it in range(1, max_iter + 1):
-        alpha = a - x
-        m = (alpha * alpha - 1.0) * r2 + q2
-        s = m * m + qr2
-        root = sqrt(s)
-        plus = m + root if m >= 0 else (s - m * m) / (root - m)
-        k2 = alpha * plus / (plus + two_r2)
-        alpha = a - k2
-        m = (alpha * alpha - 1.0) * r1 + q1
-        s = m * m + qr1
-        root = sqrt(s)
-        plus = m + root if m >= 0 else (s - m * m) / (root - m)
-        nxt = alpha * plus / (plus + two_r1)
+        nxt = step(x)
         if abs(nxt - x) < tol:
-            lo, hi = g(nxt - 100.0 * tol), g(nxt + 100.0 * tol)
-            return BrIterationResult(lo <= 0.0 <= hi or hi <= 0.0 <= lo, nxt, best_gain(a - nxt, q2, r2)[0], it)
+            below, above = nxt - 100.0 * tol, nxt + 100.0 * tol
+            lo, hi = step(below) - below, step(above) - above
+            return BrIterationResult(lo <= 0.0 <= hi or hi <= 0.0 <= lo, nxt, best_gain(a - nxt, q2, r2), it)
         x = nxt
-    return BrIterationResult(False, x, best_gain(a - x, q2, r2)[0], max_iter)
+    return BrIterationResult(False, x, best_gain(a - x, q2, r2), max_iter)
 
 
 def _residual_scale(fnorm: NormalizedGame) -> float:
@@ -310,6 +296,49 @@ def _dedup(fnorm: NormalizedGame, candidates: list[tuple[float, float]]) -> list
             kept.append(p)
     kept.sort(key=lambda c: (c[1], c[0]))
     return kept
+
+
+def stationarity_system(norm: NormalizedGame):
+    """Both players' stationarity cubics as dicts {(k1 exponent, k2
+    exponent): int}; the first half of `scaled_stationarity_system`."""
+    return scaled_stationarity_system(norm)[0]
+
+
+def scaled_stationarity_system(norm: NormalizedGame):
+    """Both stationarity cubics on integers, and the factors (D_1, D_2) that
+    scale them.
+
+    Player i's residual
+
+        r_i k_i^2 (a - k_j) + (r_i + q_i - r_i (a - k_j)^2) k_i - q_i (a - k_j)
+
+    is multiplied by the positive integer D_i = den(a)^2 den(q_i) den(r_i),
+    which clears every denominator and moves no root.  These are the inputs
+    the Buchberger engine triangularizes and the direct resultant eliminates
+    k1 from; their common stabilizing roots are exactly the Nash equilibria.
+    Assembled from the exact parameters' numerators and denominators,
+    independently of `solver.build_g`; a coefficient may be zero.
+    """
+    d1, own1 = _scaled_cubic(norm.a, norm.q1, norm.r1)
+    d2, own2 = _scaled_cubic(norm.a, norm.q2, norm.r2)
+    return [own1, {(j, i): c for (i, j), c in own2.items()}], (d1, d2)
+
+
+def _scaled_cubic(a: Fraction, q: Fraction, r: Fraction):
+    """D = den(a)^2 den(q) den(r) and D times one player's residual, as
+    {(own exponent, other exponent): coefficient}."""
+    an, ad, qn, qd = a.numerator, a.denominator, q.numerator, q.denominator
+    rn, rd = r.numerator, r.denominator
+    d = ad * ad * qd * rd
+    r_d = rn * (d // rd)  # r D
+    ar_d = an * rn * (d // (ad * rd))  # a r D
+    q_d = qn * (d // qd)  # q D
+    return d, {
+        (2, 1): -r_d, (2, 0): ar_d, (1, 2): -r_d, (1, 1): 2 * ar_d,
+        (1, 0): r_d + q_d - an * an * rn * (d // (ad * ad * rd)),  # (r + q - a^2 r) D
+        (0, 1): q_d,
+        (0, 0): -an * qn * (d // (ad * qd)),  # -a q D
+    }
 
 
 def resultant_elimination(norm: NormalizedGame) -> UniPoly:

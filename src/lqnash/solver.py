@@ -51,10 +51,6 @@ TOL_VERIFY = 1e-8
 G_SCALE = 2
 
 
-class DegenerateGameError(Exception):
-    """The elimination polynomial does not have the expected degree five."""
-
-
 class ConsistencyError(Exception):
     """A certified-by-construction property failed: an implementation bug."""
 
@@ -86,49 +82,6 @@ def build_g(norm: NormalizedGame) -> UniPoly:
     return UniPoly([c0, c1, c2, c3, c4, c5])
 
 
-def stationarity_system(norm: NormalizedGame):
-    """Both players' stationarity cubics as dicts {(k1 exponent, k2
-    exponent): int}; the first half of `scaled_stationarity_system`."""
-    return scaled_stationarity_system(norm)[0]
-
-
-def scaled_stationarity_system(norm: NormalizedGame):
-    """Both stationarity cubics on integers, and the factors (D_1, D_2) that
-    scale them.
-
-    Player i's residual
-
-        r_i k_i^2 (a - k_j) + (r_i + q_i - r_i (a - k_j)^2) k_i - q_i (a - k_j)
-
-    is multiplied by the positive integer D_i = den(a)^2 den(q_i) den(r_i),
-    which clears every denominator and moves no root.  These are the inputs
-    the Buchberger engine triangularizes and the direct resultant eliminates
-    k1 from; their common stabilizing roots are exactly the Nash equilibria.
-    Assembled from the exact parameters' numerators and denominators,
-    independently of `build_g`; a coefficient may be zero.
-    """
-    d1, own1 = _scaled_cubic(norm.a, norm.q1, norm.r1)
-    d2, own2 = _scaled_cubic(norm.a, norm.q2, norm.r2)
-    return [own1, {(j, i): c for (i, j), c in own2.items()}], (d1, d2)
-
-
-def _scaled_cubic(a: Fraction, q: Fraction, r: Fraction):
-    """D = den(a)^2 den(q) den(r) and D times one player's residual, as
-    {(own exponent, other exponent): coefficient}."""
-    an, ad, qn, qd = a.numerator, a.denominator, q.numerator, q.denominator
-    rn, rd = r.numerator, r.denominator
-    d = ad * ad * qd * rd
-    r_d = rn * (d // rd)  # r D
-    ar_d = an * rn * (d // (ad * rd))  # a r D
-    q_d = qn * (d // qd)  # q D
-    return d, {
-        (2, 1): -r_d, (2, 0): ar_d, (1, 2): -r_d, (1, 1): 2 * ar_d,
-        (1, 0): r_d + q_d - an * an * rn * (d // (ad * ad * rd)),  # (r + q - a^2 r) D
-        (0, 1): q_d,
-        (0, 0): -an * qn * (d // (ad * qd)),  # -a q D
-    }
-
-
 def classify_discriminant(seq: SturmSequence) -> tuple[Fraction, int]:
     """Exact discriminant of the unscaled quintic and its sign.
 
@@ -139,7 +92,7 @@ def classify_discriminant(seq: SturmSequence) -> tuple[Fraction, int]:
     """
     degree = seq.degree
     if degree != 5:
-        raise DegenerateGameError(f"expected a degree-5 polynomial, got degree {degree}")
+        raise ConsistencyError(f"expected a degree-5 polynomial, got degree {degree}")
     # g = g2 / G_SCALE scales the degree-5 discriminant by G_SCALE^-(2*5-2)
     delta = seq.discriminant / Fraction(G_SCALE) ** 8
     sign = 0 if delta == 0 else (1 if delta > 0 else -1)
@@ -162,7 +115,7 @@ def recover_k1(fnorm: NormalizedGame, k2: float) -> float:
     """The admissible stationary gain of player 1 against k2 on the game's
     float image: its `best_gain`, whose branch is the one that satisfies the
     stability constraint."""
-    return best_gain(fnorm.a - k2, fnorm.q1, fnorm.r1)[0]
+    return best_gain(fnorm.a - k2, fnorm.q1, fnorm.r1)
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ def discriminant(p: UniPoly) -> Fraction:
 def h_eval(norm: NormalizedGame, x: float) -> float:
     """br1(br2(x)) - x: positive at 0 and negative at a, so it has a zero, an equilibrium k1."""
     a, q1, q2, r1, r2 = (float(v) for v in (norm.a, norm.q1, norm.q2, norm.r1, norm.r2))
-    return best_gain(a - best_gain(a - x, q2, r2)[0], q1, r1)[0] - x
+    return best_gain(a - best_gain(a - x, q2, r2), q1, r1) - x
 
 
 def lex_compare(m1: tuple[int, int], m2: tuple[int, int]) -> int:
@@ -336,8 +336,10 @@ def _autoreduce(basis: list[dict]) -> list[dict]:
 
 
 # The float oracles as lqnash ran them before their fast paths: the residual
-# surfaces as two whole (n + 1) x (n + 1) numpy arrays, and best-response
-# iteration that calls `best_gain` once per best response.
+# surfaces as two whole (n + 1) x (n + 1) numpy arrays; and best-response
+# iteration, restated with one `br(i, k_other)` per player, whose iterates
+# and sign-change certificate the library's iteration must reproduce bit for
+# bit.
 
 
 def straddles_zero(R):
@@ -379,7 +381,7 @@ def br_iteration(norm: NormalizedGame, k_start: float, max_iter: int, tol: float
 
     def br(i, k_other):
         q, r = (norm.q1, norm.r1) if i == 1 else (norm.q2, norm.r2)
-        return best_gain(norm.a - k_other, q, r)[0]
+        return best_gain(norm.a - k_other, q, r)
 
     x = float(k_start)
     for it in range(1, max_iter + 1):
@@ -410,14 +412,19 @@ def trajectory(norm: NormalizedGame, k1: float, k2: float, horizon: int) -> list
     return out
 
 
+def near_locus_bases() -> list[GameParams]:
+    """The four pitchfork and five fold games that `near_locus_games`
+    perturbs, on the locus itself."""
+    bases = [pitchfork_game(Fraction(s))[0] for s in ("4/3", "3/4", "5/12", "12/5")]
+    return bases + [fold_game(Fraction(c), Fraction(k1))[0]
+                    for c, k1 in (("1/2", "1/2"), ("1/2", "1"), ("2/5", "3/2"), ("3/5", "1/2"), ("1/5", "2"))]
+
+
 def near_locus_games() -> list[GameParams]:
     """378 games next to the fold and pitchfork locus, where the composed
-    best-response map's slope is near 1 and roots crowd together: four
-    pitchfork and five fold games, each with one of a, q1 and r2 multiplied
-    by 1 + 2^-e or 1 - 2^-e, e in {8, 12, 16, 24, 32, 40, 48}."""
-    bases = [pitchfork_game(Fraction(s))[0] for s in ("4/3", "3/4", "5/12", "12/5")]
-    bases += [fold_game(Fraction(c), Fraction(k1))[0]
-              for c, k1 in (("1/2", "1/2"), ("1/2", "1"), ("2/5", "3/2"), ("3/5", "1/2"), ("1/5", "2"))]
+    best-response map's slope is near 1 and roots crowd together: each of
+    `near_locus_bases` with one of a, q1 and r2 multiplied by 1 + 2^-e or
+    1 - 2^-e, e in {8, 12, 16, 24, 32, 40, 48}."""
     return [dataclasses.replace(base, **{name: getattr(base, name) * (1 + sign * Fraction(1, 2**e))})
-            for base in bases for name in ("a", "q1", "r2") for sign in (1, -1)
+            for base in near_locus_bases() for name in ("a", "q1", "r2") for sign in (1, -1)
             for e in (8, 12, 16, 24, 32, 40, 48)]

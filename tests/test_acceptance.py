@@ -293,7 +293,7 @@ def test_criterion_8_gradient_tie_in():
         player = rng.choice([1, 2])
         k_other = rng.uniform(0.05 * a, 0.95 * a)
         q, r = (norm.q1, norm.r1) if player == 1 else (norm.q2, norm.r2)
-        k_best = best_gain(a - k_other, float(q), float(r))[0]
+        k_best = best_gain(a - k_other, float(q), float(r))
         pair = (k_best, k_other) if player == 1 else (k_other, k_best)
         if abs(a - pair[0] - pair[1]) > 0.9 - 0.02:
             continue

@@ -13,7 +13,8 @@ import pytest
 from lqnash.exactalg import UniPoly
 from lqnash.game import GameParams, normalize
 from lqnash.groebner import EliminationError, _update, buchberger, elimination_polynomial
-from lqnash.solver import build_g, stationarity_system
+from lqnash.oracle import stationarity_system
+from lqnash.solver import build_g
 from reference_algebra import buchberger as fraction_buchberger
 from reference_algebra import lex_compare, reduce, s_polynomial
 

@@ -1,15 +1,18 @@
 """Brute-force oracles: fixed-point iteration, grid scan, direct resultant,
 and trajectory simulation, each checked against the certified solver."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lqnash.groebner as groebner
 import lqnash.oracle as oracle
 from lqnash.cli import VERIFY_TOL
 from lqnash.exactalg import SturmSequence, UniPoly, sturm_count
@@ -33,21 +36,22 @@ from lqnash.oracle import (
     br_iteration,
     grid_scan,
     resultant_elimination,
+    scaled_stationarity_system,
     simulate_cost,
+    stationarity_system,
 )
 from lqnash.solver import (
     build_g,
     fold_game,
     pitchfork_game,
     solve,
-    scaled_stationarity_system,
-    stationarity_system,
 )
 from reference_algebra import br_iteration as record_br_iteration
 from reference_algebra import flagged_cells as unblocked_flagged_cells
 from reference_algebra import grid_scan as unblocked_grid_scan
 from reference_algebra import (
     h_eval,
+    near_locus_bases,
     near_locus_games,
     poly_eval,
     poly_gcd,
@@ -149,7 +153,7 @@ class TestBrIteration:
 
     def test_start_at_a_passes_through_zero_response(self):
         norm = normalize(GameParams(a=2.2, q1=1, q2=3, r1=0.5, r2=1))
-        assert best_gain(float(norm.a) - 2.2, float(norm.q2), float(norm.r2))[0] == 0
+        assert best_gain(float(norm.a) - 2.2, float(norm.q2), float(norm.r2)) == 0
         res = br_iteration(norm, 2.2)
         assert res.iterations >= 1
 
@@ -179,7 +183,7 @@ class TestBrIteration:
     def test_same_bits_as_a_loop_of_best_response_calls(self):
         rng = random.Random(25)
         games = [random_float_game(rng) for _ in range(40)] + small_rational_games(26, 20)
-        for params in games:
+        for params in games + near_locus_bases():
             norm = normalize(params)
             fnorm = float_game(norm)
             a = fnorm.a
@@ -190,7 +194,7 @@ class TestBrIteration:
                     assert br_iteration(norm, start, max_iter, tol) == expected, params
 
     def test_best_responses_take_both_radical_branches(self):
-        # best_gain's radical sum branches on m = (alpha^2 - 1) r + q: the
+        # best_gain branches on m = (alpha^2 - 1) r + q: the
         # first game has alpha = a - k < 1/2 and q = 1/100, so m < 0; the
         # second starts at alpha = a = 3, so m > 0
         for params in (GameParams(a=Fraction(1, 2), q1=Fraction(1, 100), q2=Fraction(1, 100),
@@ -545,6 +549,21 @@ class TestStationarityEncodings:
                 for got, (dp, d) in zip(_jacobian(fnorm, k1, k2), partials):
                     terms = [Fraction(t, d) for t in _terms(dp, Fraction(k1), Fraction(k2))]
                     assert abs(Fraction(got) - sum(terms)) <= Fraction(1e-12) * sum(map(abs, terms))
+
+
+@pytest.mark.parametrize("module", [oracle, groebner], ids=["oracle", "groebner"])
+def test_oracles_import_nothing_from_the_solver(module):
+    # the oracles cross-check the solver, so they build their own
+    # stationarity system and share no code with the solve path's encoding
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["lqnash" if node.level else None, node.module]))
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert not any(name == "lqnash.solver" or name.startswith("lqnash.solver.") for name in imported)
 
 
 class TestSimulateCost:

@@ -22,7 +22,6 @@ from lqnash.game import GameParams, TrivialGame, best_gain, float_game, normaliz
 from lqnash.solver import (
     REFINE_WIDTH,
     ConsistencyError,
-    DegenerateGameError,
     build_g,
     classify_discriminant,
     find_candidate_roots,
@@ -92,7 +91,7 @@ class TestClassify:
         assert delta == 0 and sign == 0
 
     def test_rejects_wrong_degree(self):
-        with pytest.raises(DegenerateGameError):
+        with pytest.raises(ConsistencyError, match="degree-5"):
             classify_discriminant(SturmSequence(UniPoly([1, 2, 3])))
 
     def test_prebuilt_sequence_gives_the_same_classification(self):
@@ -250,7 +249,7 @@ class TestSolve:
                 assert 0 < eq.a_cl < 1
                 # composed best responses fix the pair
                 k2 = best_gain(float(norm.a) - eq.k1 * float(params.b1),
-                               float(norm.q2), float(norm.r2))[0]
+                               float(norm.q2), float(norm.r2))
                 assert abs(k2 - eq.k2 * float(params.b2)) <= 1e-7
 
     def test_residual_characterization_breaks_under_perturbation(self):
