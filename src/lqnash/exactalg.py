@@ -3,9 +3,10 @@
 Everything in this module is exact: coefficients are `fractions.Fraction`,
 and real roots are isolated by Sturm bisection with integer sign
 evaluations.  One remainder sequence per polynomial (`SturmSequence`)
-serves root counting, isolation, refinement, root multiplicities and the
-discriminant.  Floating point appears only when a caller converts a refined
-rational approximation at the very end.
+serves root counts between rationals or +-math.inf, isolation, refinement
+and the discriminant; a flat list of chains of the successive gcds gives
+root multiplicities.  Floating point appears only when a caller converts a
+refined rational approximation at the very end.
 """
 
 from __future__ import annotations
@@ -16,24 +17,6 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
-
-
-class _Inf:
-    """Extended endpoint for interval queries (sign taken from leading terms)."""
-
-    __slots__ = ("positive",)
-
-    def __init__(self, positive: bool):
-        self.positive = positive
-
-    def __repr__(self):
-        return "+inf" if self.positive else "-inf"
-
-
-POS_INF = _Inf(True)
-NEG_INF = _Inf(False)
-
-Endpoint = Union[int, Fraction, _Inf]
 
 
 class UniPoly:
@@ -130,9 +113,8 @@ def _prem_int(a: list[int], b: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _signed_prs(ints: list[int], resultant: bool = True) -> tuple[list[list[int]], int | None]:
-    """Primitive integer chain, sign-proportional to the Sturm chain, and Res(p, p')
-    (None unless `resultant`).
+def _signed_prs(ints: list[int]) -> tuple[list[list[int]], int]:
+    """Primitive integer chain, sign-proportional to the Sturm chain, and Res(p, p').
 
     Every element equals a positive rational multiple of the corresponding
     classical chain element, so sign variation counts are unchanged.  For
@@ -155,7 +137,7 @@ def _signed_prs(ints: list[int], resultant: bool = True) -> tuple[list[list[int]
         da, db, lb = len(a) - 1, len(b) - 1, b[-1]
         r = _prem_int(a, b)  # lc(b)^(delta+1) * (a mod b)
         if not r:
-            return chain, 0 if resultant else None
+            return chain, 0
         # keep the sign of -(a mod b), as in the classical Sturm chain
         if lb > 0 or (da - db) % 2 == 1:
             r = [-c for c in r]
@@ -164,8 +146,6 @@ def _signed_prs(ints: list[int], resultant: bool = True) -> tuple[list[list[int]
         dr = len(r) - 1
         sign = (-1) ** (db * (da + 1)) * (-1 if lb < 0 and (da - dr) % 2 else 1)
         steps.append((sign * content**db, abs(lb), (da - dr) - (da - db + 1) * db))
-    if not resultant:
-        return chain, None
     # unwind from the constant end; every Res(a, b) is an integer, so each
     # division is exact and the numbers stay the size of the resultants
     res = chain[-1][0] ** (len(chain[-2]) - 1)
@@ -194,25 +174,26 @@ def _divexact_int(a: list[int], b: list[int]) -> list[int]:
 
 
 class SturmSequence:
-    """One polynomial's remainder sequence, built once and passed to every query.
+    """One polynomial's remainder sequences, built once and passed to every query.
 
     `degree` is the degree of the polynomial p, and `ints` are its primitive
     integer coefficients, a positive multiple of it with the same signs
-    everywhere.  `chain` is a primitive integer Sturm chain of the
-    square-free part `sf_ints`, which counting, isolation and refinement
-    share.  `discriminant` is the exact discriminant of p, read off the
+    everywhere.  `discriminant` is the exact discriminant of p, read off the
     remainder sequence of (p, p'); it is zero when p has a multiple root.
     That sequence then ends in g, a multiple of gcd(p, p') that divides
     every element, and the quotients form the chain of p / g: at each point
     they have the signs of the elements times that of g, so every sign
     variation count is unchanged.  Each quotient of primitive polynomials is
-    primitive (Gauss's lemma).  `gcd` is the sequence of g, or None when p
-    is square-free: a root of multiplicity m of p is a root of multiplicity
-    m - 1 of g.  Its `discriminant` is None, since nothing reads one below
-    the top level.
+    primitive (Gauss's lemma).  `chain` is that primitive integer Sturm
+    chain of the square-free part `sf_ints`, which counting, isolation and
+    refinement share.  A root of multiplicity m of p is a root of
+    multiplicity m - 1 of g, so the construction repeats on g while its own
+    sequence ends in a nonconstant polynomial: `gcd_chains` holds the chains
+    of g and of each later gcd, divided the same way, and is empty when p is
+    square-free.
     """
 
-    __slots__ = ("degree", "ints", "sf_ints", "chain", "square_free", "discriminant", "gcd")
+    __slots__ = ("degree", "ints", "sf_ints", "chain", "discriminant", "gcd_chains")
 
     def __init__(self, p: UniPoly):
         n = p.degree
@@ -223,31 +204,26 @@ class SturmSequence:
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
         # p = content * ints scales the discriminant by content^(2n-2)
         self.discriminant = sign * content ** (2 * n - 2) * Fraction(res, ints[-1])
-        self._attach_chain(ints, chain)
-
-    def _attach_chain(self, ints: list[int], chain: list[list[int]]) -> None:
-        self.degree = len(ints) - 1
+        self.degree = n
         self.ints = ints
-        self.square_free = len(chain[-1]) == 1
-        if self.square_free:
-            self.gcd = None
-        else:
+        chains = []
+        # the degree of g drops at every level, so this loop ends; each g is
+        # primitive already, so it is its own integer polynomial
+        while len(chain[-1]) > 1:
             g = chain[-1]
-            chain = [_divexact_int(c, g) for c in chain]
-            # g is primitive already, so it is its own `ints`; the degree
-            # drops at every level, so this recursion ends
-            self.gcd = SturmSequence.__new__(SturmSequence)
-            self.gcd.discriminant = None
-            self.gcd._attach_chain(g, _signed_prs(g, resultant=False)[0])
-        self.chain = chain
-        self.sf_ints = chain[0]
+            chains.append([_divexact_int(c, g) for c in chain])
+            chain = _signed_prs(g)[0]
+        chains.append(chain)
+        self.chain, *self.gcd_chains = chains
+        self.sf_ints = self.chain[0]
 
 
 def _sign_at(ints: list[int], num: int, den: int) -> int:
     """Sign of an integer polynomial at the rational point num/den (den > 0), exactly.
 
     Evaluates sum c_i num^i den^(d-i), which is the value scaled by den^d > 0,
-    so num/den need not be in lowest terms.
+    so num/den need not be in lowest terms.  With den = 0 the sum is
+    c_d num^d, so num = 1 or -1 gives the sign at +inf or -inf.
     """
     acc = 0
     powden = 1
@@ -273,24 +249,25 @@ def _variations(signs: Iterable[int]) -> int:
     return count
 
 
-def _chain_signs(chain: list[list[int]], x: Endpoint) -> list[int]:
-    if isinstance(x, _Inf):
-        out = []
-        for ints in chain:
-            lead = ints[-1]
-            if not x.positive and (len(ints) - 1) % 2 == 1:
-                lead = -lead
-            out.append(1 if lead > 0 else (-1 if lead < 0 else 0))
-        return out
-    x = Fraction(x)
-    num, den = x.numerator, x.denominator
+def _chain_signs(chain: list[list[int]], x: RationalLike | float) -> list[int]:
+    """Signs of the chain's elements at a rational x or at x = +-math.inf."""
+    # an isinstance test first: comparing a Fraction with a float is slow
+    if isinstance(x, float) and math.isinf(x):
+        num, den = (1 if x > 0 else -1), 0
+    else:
+        x = Fraction(x)
+        num, den = x.numerator, x.denominator
     return [_sign_at(ints, num, den) for ints in chain]
 
 
-def sturm_count(seq: SturmSequence, lo: Endpoint, hi: Endpoint) -> int:
-    """Distinct real roots of seq's polynomial in (lo, hi]; endpoints may be POS_INF/NEG_INF."""
-    chain = seq.chain
+def _count(chain: list[list[int]], lo, hi) -> int:
+    """Distinct real roots in (lo, hi] of the chain's first element."""
     return _variations(_chain_signs(chain, lo)) - _variations(_chain_signs(chain, hi))
+
+
+def sturm_count(seq: SturmSequence, lo: RationalLike | float, hi: RationalLike | float) -> int:
+    """Distinct real roots of seq's polynomial in (lo, hi]; endpoints may be +-math.inf."""
+    return _count(seq.chain, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -309,55 +286,37 @@ def _cauchy_bound(ints: list[int]) -> int:
     return 1 + (m + lead - 1) // lead if m else 1
 
 
-def _isolate_square_free(
-    chain: list[list[int]], lo: Fraction, hi: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals (lo, hi] inside a starting interval."""
+def isolate_roots_in_interval(seq: SturmSequence, lo: Fraction, hi: Fraction) -> list[RootInterval]:
+    """Disjoint isolating intervals for the distinct real roots in (lo, hi], in order.
+
+    Each interval holds one distinct root of p.  The roots of each gcd in
+    `seq.gcd_chains` are among those of the level above, so a root of
+    multiplicity m is counted in exactly the first m - 1 of them.
+    """
+    chain = seq.chain
+    lo, hi = Fraction(lo), Fraction(hi)
     out = []
-    vlo = _variations(_chain_signs(chain, lo))
-    vhi = _variations(_chain_signs(chain, hi))
-    stack = [(lo, hi, vlo, vhi)]
+    stack = [(lo, hi, _variations(_chain_signs(chain, lo)), _variations(_chain_signs(chain, hi)))]
     while stack:
         a, b, va, vb = stack.pop()
         n = va - vb
         if n == 0:
             continue
         if n == 1:
-            out.append((a, b))
+            out.append(RootInterval(a, b, 1 + sum(_count(c, a, b) for c in seq.gcd_chains)))
             continue
         mid = (a + b) / 2
         vm = _variations(_chain_signs(chain, mid))
         stack.append((a, mid, va, vm))
         stack.append((mid, b, vm, vb))
-    out.sort()
-    return out
-
-
-def _with_multiplicities(seq: SturmSequence, raw) -> list[RootInterval]:
-    """Attach to each isolating interval the multiplicity of its root.
-
-    (lo, hi] holds one distinct root of p and the roots of gcd(p, p') are
-    among those of p, so the root has multiplicity m exactly when the first
-    m - 1 nested gcds each have a root in (lo, hi].
-    """
-    out = []
-    for lo, hi in raw:
-        m, g = 1, seq.gcd
-        while g is not None and sturm_count(g, lo, hi) == 1:
-            m, g = m + 1, g.gcd
-        out.append(RootInterval(lo, hi, m))
+    out.sort(key=lambda iv: iv.lo)
     return out
 
 
 def isolate_real_roots(seq: SturmSequence) -> list[RootInterval]:
     """Isolating intervals for every distinct real root, with multiplicities."""
-    bound = Fraction(_cauchy_bound(seq.sf_ints))
-    return _with_multiplicities(seq, _isolate_square_free(seq.chain, -bound, bound))
-
-
-def isolate_roots_in_interval(seq: SturmSequence, lo: Fraction, hi: Fraction) -> list[RootInterval]:
-    """Isolating intervals restricted to (lo, hi], with multiplicities."""
-    return _with_multiplicities(seq, _isolate_square_free(seq.chain, Fraction(lo), Fraction(hi)))
+    bound = _cauchy_bound(seq.sf_ints)
+    return isolate_roots_in_interval(seq, -bound, bound)
 
 
 def refine_root(seq: SturmSequence, iv: RootInterval, width: Fraction) -> Fraction:

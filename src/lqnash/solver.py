@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
-    NEG_INF,
-    POS_INF,
     SturmSequence,
     UniPoly,
     _sign_at,
@@ -204,8 +202,8 @@ def solve(params: GameParams) -> SolveReport:
     if not (_sign_at(seq.ints, 0, 1) > 0 and _sign_at(seq.ints, a.numerator, a.denominator) < 0):
         raise ConsistencyError("endpoint signs of the quintic violated")
 
-    roots_below = sturm_count(seq, NEG_INF, Fraction(0))
-    roots_above = sturm_count(seq, a, POS_INF)
+    roots_below = sturm_count(seq, -math.inf, 0)
+    roots_above = sturm_count(seq, a, math.inf)
     candidates = find_candidate_roots(seq, a)
     real_roots_total = roots_below + len(candidates) + roots_above
 

@@ -1,6 +1,7 @@
 """Exact polynomial algebra: operation examples and algebraic invariants."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqnash.exactalg import (
-    NEG_INF,
-    POS_INF,
     RootInterval,
     SturmSequence,
     UniPoly,
@@ -205,7 +204,7 @@ class TestDiscriminant:
         d = discriminant(ALL_ONES_2G)
         assert d == -1294336  # 2^8 times the unscaled value -5056
         # degree five with three distinct real roots: one conjugate pair, negative
-        assert sturm_count(SturmSequence(ALL_ONES_2G), NEG_INF, POS_INF) == 3
+        assert sturm_count(SturmSequence(ALL_ONES_2G), -math.inf, math.inf) == 3
         assert d < 0
 
     def test_rejects_low_degree(self):
@@ -215,10 +214,10 @@ class TestDiscriminant:
 
 class TestSturm:
     def test_two_real_roots(self):
-        assert sturm_count(SturmSequence(X2_MINUS_1), NEG_INF, POS_INF) == 2
+        assert sturm_count(SturmSequence(X2_MINUS_1), -math.inf, math.inf) == 2
 
     def test_no_real_roots(self):
-        assert sturm_count(SturmSequence(UniPoly([1, 0, 1])), NEG_INF, POS_INF) == 0
+        assert sturm_count(SturmSequence(UniPoly([1, 0, 1])), -math.inf, math.inf) == 0
 
     def test_all_ones_quintic_unit_interval(self):
         assert sturm_count(SturmSequence(ALL_ONES_2G), 0, 1) == 1
@@ -231,7 +230,7 @@ class TestSturm:
             for r in roots:
                 for _ in range(rng.randint(1, 3)):
                     p = poly_mul(p, UniPoly([-r, 1]))
-            assert sturm_count(SturmSequence(p), NEG_INF, POS_INF) == len(roots)
+            assert sturm_count(SturmSequence(p), -math.inf, math.inf) == len(roots)
 
 
 class TestSturmSequence:
@@ -244,9 +243,9 @@ class TestSturmSequence:
             roots = [rational(rng, 12, 4) for _ in range(rng.randint(1, 4))]
             p = from_roots(roots + roots[: rng.randint(0, 2)])
             seq = SturmSequence(p)
-            assert seq.square_free == (square_free_part(p).degree == p.degree)
-            assert sturm_count(seq, NEG_INF, POS_INF) == sturm_count(
-                SturmSequence(p), NEG_INF, POS_INF
+            assert (not seq.gcd_chains) == (square_free_part(p).degree == p.degree)
+            assert sturm_count(seq, -math.inf, math.inf) == sturm_count(
+                SturmSequence(p), -math.inf, math.inf
             )
             ivs = isolate_real_roots(seq)
             assert ivs == isolate_real_roots(SturmSequence(p))
@@ -256,7 +255,7 @@ class TestSturmSequence:
             assert [refine_root(seq, iv, width) for iv in ivs] == [
                 refine_root(SturmSequence(p), iv, width) for iv in ivs
             ]
-            assert sturm_count(seq, NEG_INF, POS_INF) == len(set(roots)) == len(ivs)
+            assert sturm_count(seq, -math.inf, math.inf) == len(set(roots)) == len(ivs)
 
     def test_divided_chain_counts_like_a_fresh_square_free_chain(self):
         # p's own chain divided by gcd(p, p') against a new chain of p / gcd,
@@ -270,8 +269,8 @@ class TestSturmSequence:
                 p = poly_mul(p, UniPoly([-2, 0, 1]))
             seq = SturmSequence(p)
             fresh = SturmSequence(UniPoly(seq.sf_ints))
-            assert fresh.square_free and seq.square_free == (max(mults) == 1)
-            points = [NEG_INF, *roots, POS_INF]
+            assert not fresh.gcd_chains and (not seq.gcd_chains) == (max(mults) == 1)
+            points = [-math.inf, *roots, math.inf]
             for i, lo in enumerate(points):
                 for hi in points[i + 1:]:
                     assert sturm_count(seq, lo, hi) == sturm_count(fresh, lo, hi)
@@ -423,11 +422,8 @@ def test_multiplicities_match_the_construction(mults, quadratic, c):
     for iv, r in zip(ivs, roots):
         assert iv.lo < r <= iv.hi
         assert iv.multiplicity == mults[r]
-    # one nested gcd per extra multiplicity of the highest root
-    depth, seq = 0, SturmSequence(p).gcd
-    while seq is not None:
-        depth, seq = depth + 1, seq.gcd
-    assert depth == max(mults.values()) - 1
+    # one gcd chain per extra multiplicity of the highest root
+    assert len(SturmSequence(p).gcd_chains) == max(mults.values()) - 1
 
 
 refine_root_value = st.fractions(min_value=-6, max_value=6, max_denominator=8)

@@ -11,8 +11,6 @@ from fractions import Fraction
 import pytest
 
 from lqnash.exactalg import (
-    NEG_INF,
-    POS_INF,
     SturmSequence,
     UniPoly,
     isolate_roots_in_interval,
@@ -121,7 +119,7 @@ class TestCandidateRoots:
             seq = SturmSequence(build_g(norm))
             inside = find_candidate_roots(seq, Fraction(norm.a))
             assert len(inside) <= 3
-            total = sturm_count(seq, NEG_INF, POS_INF)
+            total = sturm_count(seq, -math.inf, math.inf)
             assert total - len(inside) >= 2
 
     @pytest.mark.parametrize(
