@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from .exactalg import UniPoly
 # not called here: perfbench/tracing.py still wraps these two names in this module
 from .exactalg import isolate_real_roots, refine_root  # noqa: F401
-from .game import GameParams, cost, float_game, normalize, renormalize_equilibrium
+from .game import GameParams, InvalidGameError, cost, float_game, normalize, renormalize_equilibrium
 from .groebner import EliminationError, buchberger, elimination_polynomial
 from .oracle import (
     GRID_DEFAULT,
@@ -178,6 +178,12 @@ def _game_from_args(args) -> GameParams:
         params.validate()
     except ValueError as exc:
         raise InputError(f"invalid parameters: {exc}") from exc
+    # documents print every parameter as a double
+    for name in _GAME_FLAGS + _OPT_FLAGS:
+        try:
+            float(getattr(params, name))
+        except OverflowError:
+            raise InputError(f"invalid parameters: {name} is too large for a double") from None
     if params.a == 0 and args.command != "solve":
         raise InputError(f"{args.command} does not apply to the trivial game a = 0")
     return params
@@ -339,7 +345,7 @@ def _match_sets(found: list, expected: list, tol: float) -> tuple[bool, float, s
 def cmd_verify(args) -> int:
     params = _game_from_args(args)
     report = solve(params)
-    norm = normalize(params)
+    norm = report.game
     fnorm = float_game(norm)
     solved = [renormalize_equilibrium(fnorm, (e.k1, e.k2)) for e in report.equilibria]
     a = fnorm.a
@@ -454,6 +460,8 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except InputError as exc:
         message, code = str(exc), EXIT_INVALID
+    except InvalidGameError as exc:
+        message, code = f"invalid parameters: {exc}", EXIT_INVALID
     except ConfigError as exc:
         message, code = f"invalid sweep config: {exc}", EXIT_INVALID
     except ConsistencyError as exc:

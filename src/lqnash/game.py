@@ -119,6 +119,10 @@ def exact_game(norm: NormalizedGame) -> NormalizedGame:
     return _each_number(norm, Fraction)
 
 
+# the canonical game's numbers, named by the raw parameters they come from
+_CANONICAL_NAMES = ("a", "q1", "q2", "r1 / b1^2", "r2 / b2^2", "b1", "b2", "x0")
+
+
 def float_game(norm: NormalizedGame) -> NormalizedGame:
     """The game's one float image: every parameter rounded once to a double.
 
@@ -126,11 +130,23 @@ def float_game(norm: NormalizedGame) -> NormalizedGame:
     this image, so it does plain float arithmetic; on the exact game each
     mixed operation would take the slow Fraction path.  A game that already
     is a float image is returned as it is, so converting again costs nothing.
+    Raises InvalidGameError naming a number too large for a double, or an
+    input gain that rounds to zero, which the image would divide by.
     """
-    if all(type(v) is float for v in (norm.a, norm.q1, norm.q2, norm.r1, norm.r2,
-                                      norm.x0, *norm.b_scale)):
+    values = (norm.a, norm.q1, norm.q2, norm.r1, norm.r2, *norm.b_scale, norm.x0)
+    if all(type(v) is float for v in values):
         return norm
-    return _each_number(norm, float)
+    doubles = []
+    for name, v in zip(_CANONICAL_NAMES, values):
+        try:
+            doubles.append(float(v))
+        except OverflowError:
+            raise InvalidGameError(f"{name} is too large for a double") from None
+    a, q1, q2, r1, r2, b1, b2, x0 = doubles
+    for name, b in (("b1", b1), ("b2", b2)):
+        if b == 0:  # and nonzero in the game: validate refuses b = 0
+            raise InvalidGameError(f"{name} is too small for a double")
+    return NormalizedGame(a, q1, q2, r1, r2, norm.sign_flipped, (b1, b2), x0)
 
 
 def _each_number(norm: NormalizedGame, number) -> NormalizedGame:

@@ -172,6 +172,7 @@ class SolveReport:
     roots_above_a: int
     equilibria: tuple[NashEquilibrium, ...]
     theorem_flags: TheoremFlags
+    game: NormalizedGame  # the exact canonical game that was solved
 
     @property
     def n_nash(self) -> int:
@@ -189,11 +190,14 @@ class SolveReport:
 def solve(params: GameParams) -> SolveReport:
     """Compute, verify and report every Nash equilibrium of the game.
 
-    Raises TrivialGame for a = 0, InvalidGameError on domain violations, and
-    ConsistencyError if any certified property fails downstream (which would
-    be an implementation bug, not a property of the game).
+    Raises TrivialGame for a = 0, InvalidGameError on domain violations and
+    on numbers past the double range, and ConsistencyError if any certified
+    property fails downstream (which would be an implementation bug, not a
+    property of the game).
     """
     norm = normalize(params)
+    # built before the exact work, so a game without a float image fails fast
+    fnorm = float_game(norm)
     a = norm.a
     g2 = build_g(norm)
     seq = SturmSequence(g2)
@@ -207,7 +211,6 @@ def solve(params: GameParams) -> SolveReport:
     candidates = find_candidate_roots(seq, a)
     real_roots_total = roots_below + len(candidates) + roots_above
 
-    fnorm = float_game(norm)
     equilibria = []
     for approx, multiplicity in candidates:
         k2f = float(approx)
@@ -250,6 +253,7 @@ def solve(params: GameParams) -> SolveReport:
         roots_above_a=roots_above,
         equilibria=tuple(equilibria),
         theorem_flags=flags,
+        game=norm,
     )
 
 

@@ -13,7 +13,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 
-from .game import GameParams, InvalidGameError
+from .game import GameParams, InvalidGameError, float_game, normalize
 from .solver import NashEquilibrium, TheoremFlags, solve
 
 CSV_COLUMNS = (
@@ -156,10 +156,11 @@ def _validate(config: SweepConfig) -> None:
         path = getattr(config.outputs, field)
         if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"outputs.{field}: no directory to write {path!r} into")
+    # r_i / b_i^2 can leave the double range, which no grid point changes
     for r2 in config.r2_values:
         try:
-            GameParams(a=grid.min, q1=config.q1, q2=config.q2, r1=config.r1, r2=r2,
-                       b1=config.b1, b2=config.b2, x0=config.x0).validate()
+            float_game(normalize(GameParams(a=grid.min, q1=config.q1, q2=config.q2, r1=config.r1,
+                                            r2=r2, b1=config.b1, b2=config.b2, x0=config.x0)))
         except InvalidGameError as exc:
             raise ConfigError(f"{exc} (game with r2_values entry {r2!r})") from exc
 

@@ -10,6 +10,7 @@ import pytest
 
 import lqnash.cli as cli
 import lqnash.oracle as oracle
+import lqnash.solver as solver
 import lqnash.sweep as sweep
 from lqnash.cli import canonical_dumps, main, parse_rational
 from lqnash.exactalg import SturmSequence, UniPoly, isolate_real_roots
@@ -239,6 +240,16 @@ class TestSweepCommand:
         assert err.startswith(f"invalid sweep config: outputs.{kind}: no directory")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    def test_gain_past_the_double_range_exits_2_before_solving(self, capsys, monkeypatch, tmp_path):
+        # r1 / b1^2 = 1e400 has no double, though every number in the config does
+        monkeypatch.setattr(sweep, "solve", broken_solve)
+        path, _ = write_config(tmp_path, b1=1e-200)
+        code, _, err = run_cli(capsys, ["--threads", "1", "sweep", str(path)])
+        assert code == 2
+        assert err == ("invalid sweep config: r1 / b1^2 is too large for a double "
+                       "(game with r2_values entry 1.0)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, ["sweep", str(tmp_path / "nope.json")])
         assert code == 2
@@ -323,6 +334,14 @@ class TestVerifyCommand:
         assert "br_iteration: inconclusive (0/8 starts converged)" in out.splitlines()
         assert out.splitlines()[-1] == "VERDICT: PASS"
 
+    def test_normalizes_the_game_once(self, capsys, monkeypatch):
+        calls = []
+        for module in (solver, cli):
+            monkeypatch.setattr(module, "normalize",
+                                lambda params, f=module.normalize: calls.append(params) or f(params))
+        assert run_cli(capsys, ["verify", *ALL_ONES])[0] == 0
+        assert len(calls) == 1
+
     def test_resultant_off_the_quintic_fails(self, capsys, monkeypatch):
         # the quintic's degree, but another constant term
         monkeypatch.setattr(cli, "resultant_elimination",
@@ -396,6 +415,21 @@ class TestInputGate:
         assert code == 3
         assert out == ""
         assert err == "internal consistency error: planted failure\n"
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--x0", "1e400"], "x0 is too large for a double"),
+        (["--b1", "1e-400"], "r1 / b1^2 is too large for a double"),
+        (["--q1", "1e400"], "q1 is too large for a double"),
+        (["--r1", "1e400", "--b1", "1e200"], "r1 is too large for a double"),
+        (["--b1", "1e-400", "--r1", "1e-800"], "b1 is too small for a double"),
+    ])
+    def test_number_past_the_double_range_exits_2(self, capsys, command, flags, message):
+        # a repeated flag overrides ALL_ONES's value
+        code, out, err = run_cli(capsys, [command, *ALL_ONES, *flags])
+        assert code == 2
+        assert out == ""
+        assert err == f"invalid parameters: {message}\n"
 
     def test_sweep_consistency_error_exits_3_without_output(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(sweep, "solve", broken_solve)

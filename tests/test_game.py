@@ -148,6 +148,17 @@ class TestNormalize:
         fields = (image.a, image.q1, image.q2, image.r1, image.r2, image.x0, *image.b_scale)
         assert all(type(v) is float for v in fields)
 
+    @pytest.mark.parametrize("values, message", [
+        ({"x0": 10**400}, "x0 is too large for a double"),
+        ({"q2": Fraction(10**400, 3)}, "q2 is too large for a double"),
+        ({"b1": Fraction(1, 10**200)}, r"r1 / b1\^2 is too large for a double"),
+        ({"b2": Fraction(1, 10**400), "r2": Fraction(1, 10**800)}, "b2 is too small for a double"),
+    ])
+    def test_float_image_refuses_numbers_past_the_double_range(self, values, message):
+        norm = normalize(GameParams(**{"a": 1, "q1": 1, "q2": 1, "r1": 1, "r2": 1, **values}))
+        with pytest.raises(InvalidGameError, match=f"^{message}$"):
+            float_game(norm)
+
 
 class TestClosedLoopAndCost:
     def test_open_loop(self):

@@ -10,13 +10,22 @@ from fractions import Fraction
 
 import pytest
 
+import lqnash.solver as solver
 from lqnash.exactalg import (
     SturmSequence,
     UniPoly,
     isolate_roots_in_interval,
     sturm_count,
 )
-from lqnash.game import GameParams, TrivialGame, best_gain, float_game, normalize, residuals
+from lqnash.game import (
+    GameParams,
+    InvalidGameError,
+    TrivialGame,
+    best_gain,
+    float_game,
+    normalize,
+    residuals,
+)
 from lqnash.solver import (
     REFINE_WIDTH,
     ConsistencyError,
@@ -283,6 +292,22 @@ class TestSolve:
 
 
 class TestReport:
+    def test_carries_the_exact_game_it_solved(self):
+        params = GameParams(a=-1.5, q1=1, q2=Fraction(1, 3), r1=2, r2=1, b1=3)
+        assert solve(params).game == normalize(params)
+
+    @pytest.mark.parametrize("values, name", [
+        ({"x0": Fraction(10**400)}, "x0"), ({"b1": Fraction(1, 10**400)}, "r1 / b1^2"),
+        ({"q1": 10**400}, "q1"),
+    ])
+    def test_game_past_the_double_range_fails_before_the_exact_work(
+            self, monkeypatch, values, name):
+        monkeypatch.setattr(solver, "build_g", None)  # a TypeError if it were reached
+        params = dataclasses.replace(ALL_ONES, **values)
+        with pytest.raises(InvalidGameError) as info:
+            solve(params)
+        assert str(info.value) == f"{name} is too large for a double"
+
     def test_delta_float_clamps_overflow(self):
         report = solve(ALL_ONES)
         assert report.delta_float == float(report.delta) == -5056.0

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from lqnash.sweep import (
     a_points,
     format_float,
     parse_config,
+    render_svg,
     rows_to_csv,
     rows_to_json_doc,
     run_sweep,
@@ -178,6 +180,28 @@ def run_figure_sweep(tmp_path, count=None) -> dict:
     config.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["--quiet", "--threads", "1", "sweep", str(config)]) == 0
     return {kind: (tmp_path / f"out.{kind}").read_bytes() for kind in ("csv", "json")}
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def test_figure_svg_has_two_curves_and_a_label_per_r2():
+    doc = json.loads((ROOT / "configs" / "figure_sweep.json").read_text(encoding="utf-8"))
+    doc["a_grid"]["count"] = 50
+    doc["outputs"] = {"csv": "unused.csv"}
+    config = parse_config(doc)
+    root = ET.fromstring(render_svg(run_sweep(config)))
+    assert root.tag == SVG + "svg"
+    r2s = sorted(config.r2_values)
+    polylines = root.findall(SVG + "polyline")
+    assert len(polylines) == 2 * len(r2s)
+    for line in polylines:
+        assert len(line.get("points").split()) == config.a_grid.count
+    labels = [t for t in root.findall(SVG + "text") if t.text.startswith("r2 = ")]
+    assert [t.text for t in labels] == [f"r2 = {format_float(r2)}" for r2 in r2s]
+    # each label has the color of its r2's two curves, one in each panel
+    for i, label in enumerate(labels):
+        assert {line.get("stroke") for line in polylines[2 * i:2 * i + 2]} == {label.get("fill")}
 
 
 class TestGolden:
