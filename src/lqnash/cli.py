@@ -9,17 +9,24 @@ Exit codes: 0 ok, 2 invalid input, 3 internal-consistency violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import random
 import re
 import sys
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .exactalg import UniPoly
 # not called here: perfbench/tracing.py still wraps these two names in this module
 from .exactalg import isolate_real_roots, refine_root  # noqa: F401
-from .game import GameParams, InvalidGameError, cost, float_game, normalize, renormalize_equilibrium
+from .game import (
+    GameParams,
+    InvalidGameError,
+    cost,
+    float_game,
+    normalize,
+    parse_rational,
+    renormalize_equilibrium,
+)
 from .groebner import EliminationError, buchberger, elimination_polynomial
 from .oracle import (
     GRID_DEFAULT,
@@ -38,7 +45,7 @@ from .solver import (
     solve,
 )
 from . import sweep as sweep_mod
-from .sweep import ConfigError, format_float
+from .sweep import ConfigError, canonical_dumps, format_float
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -51,64 +58,6 @@ VERIFY_TOL = 1e-6
 
 class InputError(Exception):
     """Input rejected before any work; `main` prints it and exits 2."""
-
-
-# ---------------------------------------------------------------------------
-# Canonical JSON: sorted keys, two-space indent, 12-significant-digit floats.
-# Parsing a document and re-serializing it is byte-identical.
-# ---------------------------------------------------------------------------
-
-
-def _float_token(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    if x == 0.0:
-        return "0"
-    return format(x, ".12g")
-
-
-def _serialize(obj, indent: int) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _float_token(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(pad + "  " + _serialize(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            pad + "  " + encode_basestring_ascii(str(k)) + ": " + _serialize(v, indent + 1)
-            for k, v in sorted(obj.items())
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def canonical_dumps(obj) -> str:
-    return _serialize(obj, 0) + "\n"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Exact rational from an integer, fraction 'p/q', or decimal string."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
 
 
 def format_poly(p: UniPoly, var: str = "k2") -> str:
@@ -235,14 +184,34 @@ def _params_doc(params: GameParams) -> dict:
     return {name: float(getattr(params, name)) for name in _GAME_FLAGS + _OPT_FLAGS}
 
 
+@contextlib.contextmanager
+def _any_int_length():
+    """Lift Python's limit on the digits of an int converted to str (3.11 and
+    the 3.10 security releases cap it at 4,300) for the block only."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def solve_document(params: GameParams, report: SolveReport) -> dict:
+    # an exact game of long numbers has a quintic and a discriminant longer still
+    with _any_int_length():
+        g2_coefficients = [str(c) for c in report.g2.coeffs]
+        delta = str(report.delta)
     return {
         "params": _params_doc(params),
         "trivial": False,
-        "g2_coefficients": [str(c) for c in report.g2.coeffs],
+        "g2_coefficients": g2_coefficients,
         "g_scale": G_SCALE,
         "delta": {
-            "exact": str(report.delta),
+            "exact": delta,
             "float": report.delta_float,
             "sign": report.delta_sign,
         },
@@ -302,17 +271,9 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = sweep_mod.load_config(args.config)
-    rows = sweep_mod.run_sweep(config, threads=max(1, args.threads))
-    csv_text = sweep_mod.rows_to_csv(rows)
-    sweep_mod.write_atomic(config.outputs.csv, csv_text)
-    if config.outputs.svg:
-        sweep_mod.write_atomic(config.outputs.svg, sweep_mod.render_svg(rows))
-    if config.outputs.json:
-        sweep_mod.write_atomic(
-            config.outputs.json, canonical_dumps(sweep_mod.rows_to_json_doc(rows))
-        )
+    n_rows = sweep_mod.write_sweep(config, threads=max(1, args.threads))
     if not args.quiet:
-        print(f"wrote {len(rows)} rows to {config.outputs.csv}", file=sys.stderr)
+        print(f"wrote {n_rows} rows to {config.outputs.csv}", file=sys.stderr)
     return EXIT_OK
 
 

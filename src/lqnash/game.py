@@ -57,6 +57,14 @@ class GameParams:
                 raise InvalidGameError(f"{name} must be nonzero")
 
 
+def parse_rational(text: str) -> Fraction:
+    """Exact rational from an integer, fraction 'p/q', or decimal string."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {text!r}") from exc
+
+
 @dataclass(frozen=True)
 class NormalizedGame:
     """Canonical game: a > 0, unit input gains, adjusted control weights.
@@ -130,8 +138,10 @@ def float_game(norm: NormalizedGame) -> NormalizedGame:
     this image, so it does plain float arithmetic; on the exact game each
     mixed operation would take the slow Fraction path.  A game that already
     is a float image is returned as it is, so converting again costs nothing.
-    Raises InvalidGameError naming a number too large for a double, or an
-    input gain that rounds to zero, which the image would divide by.
+    Raises InvalidGameError naming a number too large for a double, or a
+    nonzero a, q_i, r_i or b_i that rounds to 0.0, which would make the image
+    another game (and b_i = 0.0 one that the image divides by).  x0 may
+    round to 0.0: it only scales the costs, whose x0^2 underflows anyway.
     """
     values = (norm.a, norm.q1, norm.q2, norm.r1, norm.r2, *norm.b_scale, norm.x0)
     if all(type(v) is float for v in values):
@@ -139,13 +149,13 @@ def float_game(norm: NormalizedGame) -> NormalizedGame:
     doubles = []
     for name, v in zip(_CANONICAL_NAMES, values):
         try:
-            doubles.append(float(v))
+            d = float(v)
         except OverflowError:
             raise InvalidGameError(f"{name} is too large for a double") from None
-    a, q1, q2, r1, r2, b1, b2, x0 = doubles
-    for name, b in (("b1", b1), ("b2", b2)):
-        if b == 0:  # and nonzero in the game: validate refuses b = 0
+        if d == 0 and v != 0 and name != "x0":
             raise InvalidGameError(f"{name} is too small for a double")
+        doubles.append(d)
+    a, q1, q2, r1, r2, b1, b2, x0 = doubles
     return NormalizedGame(a, q1, q2, r1, r2, norm.sign_flipped, (b1, b2), x0)
 
 

@@ -1,19 +1,35 @@
 """Parameter sweeps over the dynamics gain: rows, CSV/JSON emission, SVG plots.
 
-Points are processed independently (optionally across worker processes) and
-the output ordering is restored before writing, so results are byte-identical
-regardless of worker count.
+A sweep solves one game per (r2, a) point, optionally across worker
+processes.  Each worker also does the rest of its row's work: it checks the
+discriminant law and renders the row's CSV line and canonical-JSON element.
+The parent consumes the rows in (r2, a) order as they arrive, appends their
+text to temporary files beside the CSV and JSON outputs, and keeps only the
+four numbers per row that the SVG plots.  Once every row and the SVG are
+written the temporary files are renamed over the outputs; on any error they
+are deleted, so partial output never lands.  The parent's memory therefore
+does not grow with whole rows, and the output is byte-identical at every
+worker count.
+
+Canonical JSON (`canonical_dumps`) lives here beside `format_float`: sorted
+keys, two-space indent, 12-significant-digit floats, so that parsing a
+document and re-serializing it is byte-identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import partial
+from json.encoder import encode_basestring_ascii
+from numbers import Real
+from typing import Callable, NamedTuple
 
-from .game import GameParams, InvalidGameError, float_game, normalize
+from .game import GameParams, InvalidGameError, float_game, normalize, parse_rational
 from .solver import NashEquilibrium, TheoremFlags, solve
 
 CSV_COLUMNS = (
@@ -22,6 +38,7 @@ CSV_COLUMNS = (
     "k1_2", "k2_2", "j1_2", "j2_2",
     "k1_3", "k2_3", "j1_3", "j2_3",
 )
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -47,15 +64,17 @@ class SweepOutputs:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    q1: float
-    r1: float
-    q2: float
+    """A sweep; each game number is a float (a JSON number) or a Fraction (a string)."""
+
+    q1: Real
+    r1: Real
+    q2: Real
     a_grid: AGrid
-    r2_values: tuple[float, ...]
+    r2_values: tuple[Real, ...]
     outputs: SweepOutputs
-    b1: float = 1.0
-    b2: float = 1.0
-    x0: float = 1.0
+    b1: Real = 1.0
+    b2: Real = 1.0
+    x0: Real = 1.0
 
 
 @dataclass(frozen=True)
@@ -67,6 +86,15 @@ class SweepRow:
     n_real_roots_g: int
     n_nash: int
     equilibria: tuple[NashEquilibrium, ...]
+
+
+class SweepPoint(NamedTuple):
+    """What the parent keeps of a streamed row: the numbers the SVG plots."""
+
+    a: float
+    r2: float
+    delta: float
+    n_nash: int
 
 
 def load_config(path: str) -> SweepConfig:
@@ -100,14 +128,14 @@ def parse_config(doc: dict) -> SweepConfig:
         if not isinstance(doc["r2_values"], list):
             raise ConfigError("r2_values must be a JSON array")
         config = SweepConfig(
-            q1=_number(doc["q1"], "q1"),
-            r1=_number(doc["r1"], "r1"),
-            q2=_number(doc["q2"], "q2"),
-            b1=_number(doc.get("b1", 1.0), "b1"),
-            b2=_number(doc.get("b2", 1.0), "b2"),
-            x0=_number(doc.get("x0", 1.0), "x0"),
+            q1=_game_number(doc["q1"], "q1"),
+            r1=_game_number(doc["r1"], "r1"),
+            q2=_game_number(doc["q2"], "q2"),
+            b1=_game_number(doc.get("b1", 1.0), "b1"),
+            b2=_game_number(doc.get("b2", 1.0), "b2"),
+            x0=_game_number(doc.get("x0", 1.0), "x0"),
             a_grid=grid,
-            r2_values=tuple(_number(v, "r2_values entry") for v in doc["r2_values"]),
+            r2_values=tuple(_game_number(v, "r2_values entry") for v in doc["r2_values"]),
             outputs=outputs,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -121,6 +149,16 @@ def _number(value, field: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{field} must be a number, not {json.dumps(value)}")
     return float(value)
+
+
+def _game_number(value, field: str) -> Real:
+    """A JSON number as its double; a string read exactly, as `lqnash solve` reads it."""
+    if isinstance(value, str):
+        try:
+            return parse_rational(value)
+        except ValueError as exc:
+            raise ConfigError(f"{field}: {exc}") from None
+    return _number(value, field)
 
 
 def _path(value, field: str, optional: bool = False) -> str | None:
@@ -179,7 +217,7 @@ def _row_for_point(params: GameParams) -> SweepRow:
     report = solve(params)
     return SweepRow(
         a=params.a,
-        r2=params.r2,
+        r2=float(params.r2),  # the double of an exact r2, as the rows print it
         delta=report.delta_float,
         delta_sign=report.delta_sign,
         n_real_roots_g=report.real_roots_total,
@@ -188,29 +226,97 @@ def _row_for_point(params: GameParams) -> SweepRow:
     )
 
 
-def run_sweep(config: SweepConfig, threads: int = 1) -> list[SweepRow]:
-    """One row per (r2, a) pair, ordered by (r2, a) ascending."""
-    tasks = [
+def _rendered_row(params: GameParams, with_json: bool) -> tuple[SweepPoint, str, str | None]:
+    """One point's whole job, done in the worker that solves it: the SVG's
+    numbers, the CSV line and (if the sweep writes JSON) the JSON element."""
+    row = _lawful(_row_for_point(params))
+    csv_line, element = render_row(row, with_json)
+    return SweepPoint(row.a, row.r2, row.delta, row.n_nash), csv_line, element
+
+
+def run_sweep(config: SweepConfig, threads: int = 1,
+              emit: Callable[[str, str | None], None] | None = None) -> list:
+    """One row per (r2, a) pair, ordered by (r2, a) ascending.
+
+    Without `emit`, returns the SweepRows.  With `emit`, each row is rendered
+    where it is solved and emit(csv_line, json_element) is called with its
+    text in row order as rows arrive (json_element is None when the config
+    writes no JSON); the list returned then holds only each row's SweepPoint.
+    """
+    tasks = (
         GameParams(a=a, q1=config.q1, q2=config.q2, r1=config.r1, r2=r2,
                    b1=config.b1, b2=config.b2, x0=config.x0)
         for r2 in sorted(config.r2_values)
         for a in a_points(config.a_grid)
-    ]
+    )
+    kept: list = []
+    if emit is None:
+        work, keep = _row_for_point, kept.append
+    else:
+        work = partial(_rendered_row, with_json=config.outputs.json is not None)
+
+        def keep(result):
+            point, csv_line, element = result
+            emit(csv_line, element)
+            kept.append(point)
+
     if threads > 1:
         # imported here, its only use: loading the process pool machinery
         # costs every `import lqnash.cli` about 2.5 MB of memory
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_row_for_point, tasks, chunksize=32))
+            try:
+                for result in pool.map(work, tasks, chunksize=32):
+                    keep(result)
+            except BaseException:
+                # leaving the block would otherwise wait for every queued row
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
-        rows = [_row_for_point(t) for t in tasks]
-    return rows
+        for result in map(work, tasks):
+            keep(result)
+    return kept
+
+
+def write_sweep(config: SweepConfig, threads: int = 1) -> int:
+    """Run the sweep and write its outputs; returns the number of rows.
+
+    CSV and JSON rows are appended to temporary files as they arrive; those
+    are renamed over the outputs after the SVG is written, and deleted if
+    anything fails, so partial output never lands.
+    """
+    outputs = config.outputs
+    with contextlib.ExitStack() as stack:
+        csv_fh = stack.enter_context(_staged(outputs.csv))
+        json_fh = stack.enter_context(_staged(outputs.json)) if outputs.json else None
+        csv_fh.write(CSV_HEADER)
+        separator = "[\n"
+
+        def emit(csv_line: str, element: str | None) -> None:
+            nonlocal separator
+            csv_fh.write(csv_line)
+            if json_fh is not None:
+                json_fh.write(separator + element)
+                separator = ",\n"
+
+        points = run_sweep(config, threads, emit)
+        if json_fh is not None:
+            # a sweep has at least one row, so the list is never empty
+            json_fh.write("\n]\n")
+        if outputs.svg:
+            write_atomic(outputs.svg, render_svg(points))
+    return len(points)
 
 
 def format_float(x: float) -> str:
     """12 significant digits, the presentation precision of CSV and JSON."""
     return format(x, ".12g")
+
+
+def _lawful(row: SweepRow) -> SweepRow:
+    TheoremFlags.checked(row.n_nash, row.delta_sign, f"sweep row a={row.a} r2={row.r2}")
+    return row
 
 
 def _csv_line(row: SweepRow) -> str:
@@ -228,50 +334,128 @@ def _csv_line(row: SweepRow) -> str:
             fields += [format_float(e.k1), format_float(e.k2), format_float(e.j1), format_float(e.j2)]
         else:
             fields += ["", "", "", ""]
-    return ",".join(fields)
+    return ",".join(fields) + "\n"
+
+
+def _row_doc(row: SweepRow) -> dict:
+    return {
+        "a": row.a,
+        "r2": row.r2,
+        "delta": row.delta,
+        "delta_sign": row.delta_sign,
+        "n_real_roots_g": row.n_real_roots_g,
+        "n_nash": row.n_nash,
+        "equilibria": [
+            {"k1": e.k1, "k2": e.k2, "a_cl": e.a_cl, "j1": e.j1, "j2": e.j2}
+            for e in row.equilibria
+        ],
+    }
+
+
+def render_row(row: SweepRow, with_json: bool) -> tuple[str, str | None]:
+    """A row's CSV line and its element of the JSON document's top-level list
+    (None without `with_json`): the text `write_sweep` appends."""
+    if not with_json:
+        return _csv_line(row), None
+    out = ["  "]
+    _serialize(_row_doc(row), "  ", out)
+    return _csv_line(row), "".join(out)
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        TheoremFlags.checked(row.n_nash, row.delta_sign, f"sweep row a={row.a} r2={row.r2}")
-        lines.append(_csv_line(row))
-    return "\n".join(lines) + "\n"
+    """The CSV document of `rows`; refuses a row that breaks the discriminant law."""
+    return CSV_HEADER + "".join(_csv_line(_lawful(row)) for row in rows)
 
 
 def rows_to_json_doc(rows: list[SweepRow]) -> list[dict]:
-    out = []
-    for row in rows:
-        TheoremFlags.checked(row.n_nash, row.delta_sign, f"sweep row a={row.a} r2={row.r2}")
-        out.append(
-            {
-                "a": row.a,
-                "r2": row.r2,
-                "delta": row.delta,
-                "delta_sign": row.delta_sign,
-                "n_real_roots_g": row.n_real_roots_g,
-                "n_nash": row.n_nash,
-                "equilibria": [
-                    {"k1": e.k1, "k2": e.k2, "a_cl": e.a_cl, "j1": e.j1, "j2": e.j2}
-                    for e in row.equilibria
-                ],
-            }
-        )
-    return out
+    """The JSON document of `rows`, to serialize with `canonical_dumps`;
+    refuses a row that breaks the discriminant law."""
+    return [_row_doc(_lawful(row)) for row in rows]
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write via a temporary file and rename, so partial output never lands."""
+# ---------------------------------------------------------------------------
+# Canonical JSON: sorted keys, two-space indent, 12-significant-digit floats.
+# Parsing a document and re-serializing it is byte-identical.
+# ---------------------------------------------------------------------------
+
+
+def _float_token(x: float) -> str:
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    if x == 0.0:
+        return "0"
+    return format(x, ".12g")
+
+
+def _serialize(obj, pad: str, out: list[str]) -> None:
+    """Append obj's text to `out`; its nested lines start with `pad` plus two spaces."""
+    if isinstance(obj, float):
+        out.append(_float_token(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        separator = "[\n" + inner
+        for v in obj:
+            out.append(separator)
+            _serialize(v, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        separator = "{\n" + inner
+        for k, v in sorted(obj.items()):
+            out.append(separator + encode_basestring_ascii(str(k)) + ": ")
+            _serialize(v, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def canonical_dumps(obj) -> str:
+    out: list[str] = []
+    _serialize(obj, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+@contextlib.contextmanager
+def _staged(path: str):
+    """A text file beside `path` that replaces it when the block ends and is
+    deleted if the block raises."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sweep-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write via a temporary file and rename, so partial output never lands."""
+    with _staged(path) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +475,17 @@ def _fmt(x: float) -> str:
     return format(x, ".2f")
 
 
-def render_svg(rows: list[SweepRow]) -> str:
-    """Self-contained two-panel figure: transformed discriminant and count vs a."""
+def render_svg(rows: list[SweepPoint] | list[SweepRow]) -> str:
+    """Self-contained two-panel figure: transformed discriminant and count vs a.
+
+    Reads a, r2, delta and n_nash of each row, so SweepPoints will do.
+    """
     width, height = 760.0, 560.0
     margin_l, margin_r, margin_t, panel_gap = 70.0, 20.0, 30.0, 50.0
     panel_h = (height - 2 * margin_t - panel_gap - 30.0) / 2
     plot_w = width - margin_l - margin_r
 
-    by_r2: dict[float, list[SweepRow]] = {}
+    by_r2: dict[float, list] = {}
     for row in rows:
         by_r2.setdefault(row.r2, []).append(row)
     r2s = sorted(by_r2)

@@ -1,5 +1,6 @@
 """Command-line surface: JSON/CSV/SVG emission, exit codes, determinism."""
 
+import contextlib
 import json
 import math
 import os
@@ -30,6 +31,25 @@ def run_cli(capsys, argv):
 def game_flags(params):
     return [arg for name in ("a", "q1", "q2", "r1", "r2")
             for arg in (f"--{name}", str(getattr(params, name)))]
+
+
+def int_digits_limit():
+    """Python's limit on the digits of an int turned into a str (None before 3.10.7)."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit else None
+
+
+@contextlib.contextmanager
+def any_int_length():
+    limit = int_digits_limit()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def multiple_root_games():
@@ -81,6 +101,28 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, ["solve", *ALL_ONES])
         assert code == 0
         assert canonical_dumps(json.loads(out)) == out
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_prints_exact_numbers_of_any_length(self, capsys, fmt):
+        # the discriminant has about 28,000 digits, past the 4,300 that
+        # Python lets an int turn into a str; solve lifts that limit only
+        # while it prints
+        a = Fraction(10**700 + 1, 10**700)
+        limit_before = int_digits_limit()
+        code, out, _ = run_cli(capsys, ["solve", "--a", f"{a.numerator}/{a.denominator}",
+                                        *ALL_ONES[2:], "--format", fmt])
+        assert code == 0
+        assert int_digits_limit() == limit_before
+        if fmt == "table":
+            assert out.endswith("1 equilibrium(s)\n")
+            return
+        doc = json.loads(out)
+        report = solver.solve(GameParams(a=a, q1=1, q2=1, r1=1, r2=1))
+        assert doc["n_nash"] == report.n_nash == 1
+        with any_int_length():
+            assert doc["delta"]["exact"] == str(report.delta)
+            assert doc["g2_coefficients"] == [str(c) for c in report.g2.coeffs]
+        assert len(doc["delta"]["exact"]) > 4300
 
     def test_trivial_game(self, capsys):
         code, out, _ = run_cli(
@@ -423,6 +465,9 @@ class TestInputGate:
         (["--q1", "1e400"], "q1 is too large for a double"),
         (["--r1", "1e400", "--b1", "1e200"], "r1 is too large for a double"),
         (["--b1", "1e-400", "--r1", "1e-800"], "b1 is too small for a double"),
+        (["--a", "1e-400"], "a is too small for a double"),
+        (["--q1", "1e-400"], "q1 is too small for a double"),
+        (["--r1", "1e-400"], "r1 / b1^2 is too small for a double"),
     ])
     def test_number_past_the_double_range_exits_2(self, capsys, command, flags, message):
         # a repeated flag overrides ALL_ONES's value

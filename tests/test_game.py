@@ -153,11 +153,21 @@ class TestNormalize:
         ({"q2": Fraction(10**400, 3)}, "q2 is too large for a double"),
         ({"b1": Fraction(1, 10**200)}, r"r1 / b1\^2 is too large for a double"),
         ({"b2": Fraction(1, 10**400), "r2": Fraction(1, 10**800)}, "b2 is too small for a double"),
+        ({"a": Fraction(1, 10**400)}, "a is too small for a double"),
+        ({"q1": Fraction(1, 10**400)}, "q1 is too small for a double"),
+        ({"q2": Fraction(1, 10**400)}, "q2 is too small for a double"),
+        ({"r1": Fraction(1, 10**400)}, r"r1 / b1\^2 is too small for a double"),
+        ({"r2": 1, "b2": 10**200}, r"r2 / b2\^2 is too small for a double"),
     ])
     def test_float_image_refuses_numbers_past_the_double_range(self, values, message):
         norm = normalize(GameParams(**{"a": 1, "q1": 1, "q2": 1, "r1": 1, "r2": 1, **values}))
         with pytest.raises(InvalidGameError, match=f"^{message}$"):
             float_game(norm)
+
+    def test_float_image_keeps_an_initial_state_that_rounds_to_zero(self):
+        # x0 only scales the costs, and x0^2 underflows long before x0 does
+        norm = normalize(GameParams(a=1, q1=1, q2=1, r1=1, r2=1, x0=Fraction(1, 10**400)))
+        assert float_game(norm).x0 == 0.0
 
 
 class TestClosedLoopAndCost:

@@ -308,6 +308,19 @@ class TestReport:
             solve(params)
         assert str(info.value) == f"{name} is too large for a double"
 
+    @pytest.mark.parametrize("values, name", [
+        ({"a": Fraction(1, 10**400)}, "a"), ({"q1": Fraction(1, 10**400)}, "q1"),
+        ({"r1": Fraction(1, 10**400)}, "r1 / b1^2"),
+    ])
+    def test_game_whose_double_would_be_zero_fails_before_the_exact_work(
+            self, monkeypatch, values, name):
+        # the float image would be another game: a = 0.0 is the trivial one
+        monkeypatch.setattr(solver, "build_g", None)
+        params = dataclasses.replace(ALL_ONES, **values)
+        with pytest.raises(InvalidGameError) as info:
+            solve(params)
+        assert str(info.value) == f"{name} is too small for a double"
+
     def test_delta_float_clamps_overflow(self):
         report = solve(ALL_ONES)
         assert report.delta_float == float(report.delta) == -5056.0

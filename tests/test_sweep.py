@@ -4,13 +4,18 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import re
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import lqnash.cli as cli
-from lqnash.solver import ConsistencyError, NashEquilibrium
+import lqnash.sweep as sweep
+from lqnash.game import GameParams
+from lqnash.solver import ConsistencyError, NashEquilibrium, solve
 from lqnash.sweep import (
     AGrid,
     ConfigError,
@@ -110,6 +115,42 @@ class TestConfig:
         config = parse_config(minimal_doc(q1="0.25", r2_values=["2", 1.5]))
         assert config.q1 == 0.25 and config.r2_values == (2.0, 1.5)
 
+    def test_strings_are_read_exactly_and_numbers_as_doubles(self):
+        config = parse_config(minimal_doc(q1="1/2", r1="0.1", q2=0.1, b1="3", x0="1e-3",
+                                          r2_values=["98/27", 3.6296296296296298]))
+        assert config.q1 == Fraction(1, 2) and config.r1 == Fraction(1, 10)
+        assert config.q2 == 0.1 and type(config.q2) is float
+        assert config.b1 == 3 and config.x0 == Fraction(1, 1000)
+        assert config.r2_values == (Fraction(98, 27), 3.6296296296296298)
+        # the a-grid stays in doubles
+        assert parse_config(minimal_doc(a_grid={"min": "0.5", "max": 2, "count": 4})).a_grid.min == 0.5
+
+    @pytest.mark.parametrize("patch, message", [
+        ({"q1": "pi"}, "q1: not a rational number: 'pi'"),
+        ({"r2_values": [1.0, "inf"]}, "r2_values entry: not a rational number: 'inf'"),
+        ({"x0": "nan"}, "x0: not a rational number"),
+        ({"b2": "1/0"}, "b2: not a rational number"),
+        ({"r1": "0"}, "r1 must be > 0"),
+        ({"q2": "1e400"}, "q2 is too large for a double"),
+        ({"q1": "1e-400"}, "q1 is too small for a double"),
+    ])
+    def test_strings_that_are_no_valid_game_number_are_refused(self, patch, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(minimal_doc(**patch))
+
+    def test_exact_r2_is_solved_exactly_and_printed_as_its_double(self):
+        doc = minimal_doc(q1="1/2", r2_values=["98/27"], a_grid={"min": 2.25, "max": 2.5, "count": 3})
+        rows = run_sweep(parse_config(doc))
+        assert {row.r2 for row in rows} == {98 / 27}
+        for row in rows:
+            report = solve(GameParams(a=row.a, q1=Fraction(1, 2), q2=1.0, r1=1.0, r2=Fraction(98, 27)))
+            assert (row.delta, row.n_nash) == (report.delta_float, report.n_nash)
+        # the JSON number 98/27 rounds to is another game: its discriminant differs
+        rounded = solve(GameParams(a=rows[0].a, q1=0.5, q2=1.0, r1=1.0, r2=98 / 27))
+        assert rounded.delta != solve(GameParams(a=rows[0].a, q1=0.5, q2=1.0, r1=1.0,
+                                                 r2=Fraction(98, 27))).delta
+        assert rows_to_csv(rows).splitlines()[1].split(",")[1] == format_float(98 / 27)
+
     def test_non_object(self):
         with pytest.raises(ConfigError):
             parse_config([1, 2, 3])
@@ -170,16 +211,47 @@ class TestEmission:
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_figure_sweep(tmp_path, count=None) -> dict:
-    """The figure config through `cli.main` at one worker; the bytes it wrote."""
+def figure_config(tmp_path, count=None) -> Path:
+    """The figure config, writing all three outputs into tmp_path."""
     doc = json.loads((ROOT / "configs" / "figure_sweep.json").read_text(encoding="utf-8"))
     if count is not None:
         doc["a_grid"]["count"] = count
-    doc["outputs"] = {"csv": str(tmp_path / "out.csv"), "json": str(tmp_path / "out.json")}
+    doc["outputs"] = {kind: str(tmp_path / f"out.{kind}") for kind in ("csv", "svg", "json")}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
-    assert cli.main(["--quiet", "--threads", "1", "sweep", str(config)]) == 0
-    return {kind: (tmp_path / f"out.{kind}").read_bytes() for kind in ("csv", "json")}
+    return config
+
+
+def run_figure_sweep(tmp_path, count=None, threads=1) -> dict:
+    """The figure config through `cli.main`; the bytes it wrote."""
+    config = figure_config(tmp_path, count)
+    assert cli.main(["--quiet", "--threads", str(threads), "sweep", str(config)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "out.csv", "out.json", "out.svg"]
+    return {kind: (tmp_path / f"out.{kind}").read_bytes() for kind in ("csv", "svg", "json")}
+
+
+def fail_past(a_max):
+    """A stand-in for `solve` that raises once a exceeds a_max."""
+    def solve_until(params):
+        if params.a > a_max:
+            raise ConsistencyError(f"planted failure at a={params.a}")
+        return solve(params)
+    return solve_until
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failure_mid_sweep_leaves_no_output(tmp_path, monkeypatch, capsys, threads):
+    # a patched module attribute reaches the workers only when they fork
+    if threads > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the workers would not see the patched solve")
+    monkeypatch.setattr(sweep, "solve", fail_past(2.0))
+    config = figure_config(tmp_path, count=50)
+    code = cli.main(["--quiet", "--threads", str(threads), "sweep", str(config)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("internal consistency error: planted failure at a=2.")
+    # rows before the failure were streamed to temporary files, which are gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -212,6 +284,18 @@ class TestGolden:
         for kind in ("csv", "json"):
             golden = ROOT / "tests" / "data" / f"figure_sweep_50.{kind}"
             assert written[kind] == golden.read_bytes(), kind
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_worker_pool_writes_the_same_bytes(self, tmp_path, threads):
+        # rows are rendered in the workers and streamed in order by the parent
+        (tmp_path / "one").mkdir()
+        (tmp_path / "pool").mkdir()
+        serial = run_figure_sweep(tmp_path / "one", count=50)
+        pooled = run_figure_sweep(tmp_path / "pool", count=50, threads=threads)
+        for kind in ("csv", "json"):
+            golden = ROOT / "tests" / "data" / f"figure_sweep_50.{kind}"
+            assert pooled[kind] == golden.read_bytes(), kind
+        assert pooled["svg"] == serial["svg"]
 
     def test_full_figure_sweep_matches_benchmark_golden(self, tmp_path):
         # the full 400-point grid, against the digests the benchmark gates on
