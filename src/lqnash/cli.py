@@ -271,7 +271,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = sweep_mod.load_config(args.config)
-    n_rows = sweep_mod.write_sweep(config, threads=max(1, args.threads))
+    n_rows = sweep_mod.run_sweep(config, threads=max(1, args.threads))
     if not args.quiet:
         print(f"wrote {n_rows} rows to {config.outputs.csv}", file=sys.stderr)
     return EXIT_OK

@@ -124,7 +124,11 @@ def exact_game(norm: NormalizedGame) -> NormalizedGame:
     """The same game with every parameter read back as an exact rational:
     the inverse of `float_game` on its image.  `normalize` already returns
     an exact game."""
-    return _each_number(norm, Fraction)
+    return NormalizedGame(
+        Fraction(norm.a), Fraction(norm.q1), Fraction(norm.q2), Fraction(norm.r1),
+        Fraction(norm.r2), norm.sign_flipped,
+        (Fraction(norm.b_scale[0]), Fraction(norm.b_scale[1])), Fraction(norm.x0),
+    )
 
 
 # the canonical game's numbers, named by the raw parameters they come from
@@ -157,14 +161,6 @@ def float_game(norm: NormalizedGame) -> NormalizedGame:
         doubles.append(d)
     a, q1, q2, r1, r2, b1, b2, x0 = doubles
     return NormalizedGame(a, q1, q2, r1, r2, norm.sign_flipped, (b1, b2), x0)
-
-
-def _each_number(norm: NormalizedGame, number) -> NormalizedGame:
-    """The same game with `number` applied to every parameter."""
-    return NormalizedGame(
-        number(norm.a), number(norm.q1), number(norm.q2), number(norm.r1), number(norm.r2),
-        norm.sign_flipped, (number(norm.b_scale[0]), number(norm.b_scale[1])), number(norm.x0),
-    )
 
 
 def closed_loop(a, k1, k2):

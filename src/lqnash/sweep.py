@@ -1,15 +1,16 @@
 """Parameter sweeps over the dynamics gain: rows, CSV/JSON emission, SVG plots.
 
-A sweep solves one game per (r2, a) point, optionally across worker
-processes.  Each worker also does the rest of its row's work: it checks the
-discriminant law and renders the row's CSV line and canonical-JSON element.
-The parent consumes the rows in (r2, a) order as they arrive, appends their
-text to temporary files beside the CSV and JSON outputs, and keeps only the
-four numbers per row that the SVG plots.  Once every row and the SVG are
-written the temporary files are renamed over the outputs; on any error they
-are deleted, so partial output never lands.  The parent's memory therefore
-does not grow with whole rows, and the output is byte-identical at every
-worker count.
+A sweep solves one game per (r2, a) point, in chunks of consecutive points,
+optionally across worker processes.  The worker that solves a chunk also
+checks the discriminant law on its rows and renders their CSV lines and
+canonical-JSON elements (`rows_to_csv`, `rows_to_json_doc`).  `run_sweep`
+takes the chunks in (r2, a) order as they arrive, appends their text to
+temporary files beside the CSV and JSON outputs, and keeps only the four
+numbers per row that the SVG plots.  Once every row and the SVG are written
+the temporary files are renamed over the outputs; on any error they are
+deleted, so partial output never lands.  The parent's memory therefore does
+not grow with whole rows, and the output is byte-identical at every worker
+count.
 
 Canonical JSON (`canonical_dumps`) lives here beside `format_float`: sorted
 keys, two-space indent, 12-significant-digit floats, so that parsing a
@@ -25,9 +26,10 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from numbers import Real
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .game import GameParams, InvalidGameError, float_game, normalize, parse_rational
 from .solver import NashEquilibrium, TheoremFlags, solve
@@ -39,6 +41,9 @@ CSV_COLUMNS = (
     "k1_3", "k2_3", "j1_3", "j2_3",
 )
 CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+# rows per worker task: the process-pool traffic of one message per 32 rows
+CHUNK = 32
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -194,13 +199,22 @@ def _validate(config: SweepConfig) -> None:
         path = getattr(config.outputs, field)
         if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"outputs.{field}: no directory to write {path!r} into")
-    # r_i / b_i^2 can leave the double range, which no grid point changes
+    # r_i / b_i^2 can leave the double range, which no grid point changes.
+    # Rows print each r2 as its double, so it needs one, and two entries
+    # with one double would print, and plot, as one curve.
+    seen: dict[float, Real] = {}
     for r2 in config.r2_values:
         try:
             float_game(normalize(GameParams(a=grid.min, q1=config.q1, q2=config.q2, r1=config.r1,
                                             r2=r2, b1=config.b1, b2=config.b2, x0=config.x0)))
+            double = float(r2)
         except InvalidGameError as exc:
             raise ConfigError(f"{exc} (game with r2_values entry {r2!r})") from exc
+        except OverflowError:
+            raise ConfigError(f"r2_values entry {r2!r} is too large for a double") from None
+        if double in seen:
+            raise ConfigError(f"r2_values entries {seen[double]!r} and {r2!r} are one double, {double!r}")
+        seen[double] = r2
 
 
 def a_points(grid: AGrid) -> list[float]:
@@ -226,81 +240,68 @@ def _row_for_point(params: GameParams) -> SweepRow:
     )
 
 
-def _rendered_row(params: GameParams, with_json: bool) -> tuple[SweepPoint, str, str | None]:
-    """One point's whole job, done in the worker that solves it: the SVG's
-    numbers, the CSV line and (if the sweep writes JSON) the JSON element."""
-    row = _lawful(_row_for_point(params))
-    csv_line, element = render_row(row, with_json)
-    return SweepPoint(row.a, row.r2, row.delta, row.n_nash), csv_line, element
-
-
-def run_sweep(config: SweepConfig, threads: int = 1,
-              emit: Callable[[str, str | None], None] | None = None) -> list:
-    """One row per (r2, a) pair, ordered by (r2, a) ascending.
-
-    Without `emit`, returns the SweepRows.  With `emit`, each row is rendered
-    where it is solved and emit(csv_line, json_element) is called with its
-    text in row order as rows arrive (json_element is None when the config
-    writes no JSON); the list returned then holds only each row's SweepPoint.
-    """
-    tasks = (
+def _chunks(config: SweepConfig):
+    """The sweep's games in (r2, a) order, CHUNK at a time, built as they are taken."""
+    games = (
         GameParams(a=a, q1=config.q1, q2=config.q2, r1=config.r1, r2=r2,
                    b1=config.b1, b2=config.b2, x0=config.x0)
         for r2 in sorted(config.r2_values)
         for a in a_points(config.a_grid)
     )
-    kept: list = []
-    if emit is None:
-        work, keep = _row_for_point, kept.append
-    else:
-        work = partial(_rendered_row, with_json=config.outputs.json is not None)
-
-        def keep(result):
-            point, csv_line, element = result
-            emit(csv_line, element)
-            kept.append(point)
-
-    if threads > 1:
-        # imported here, its only use: loading the process pool machinery
-        # costs every `import lqnash.cli` about 2.5 MB of memory
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            try:
-                for result in pool.map(work, tasks, chunksize=32):
-                    keep(result)
-            except BaseException:
-                # leaving the block would otherwise wait for every queued row
-                pool.shutdown(cancel_futures=True)
-                raise
-    else:
-        for result in map(work, tasks):
-            keep(result)
-    return kept
+    while chunk := list(islice(games, CHUNK)):
+        yield chunk
 
 
-def write_sweep(config: SweepConfig, threads: int = 1) -> int:
-    """Run the sweep and write its outputs; returns the number of rows.
+def _solve_chunk(chunk: list[GameParams], with_json: bool) -> tuple[list[SweepPoint], str, str | None]:
+    """One chunk's whole job, done in the worker that solves it: the SVG's
+    numbers, the CSV lines and (if the sweep writes JSON) the elements of the
+    JSON document's top-level list, joined by ",\\n"."""
+    rows = [_row_for_point(params) for params in chunk]
+    csv_lines = rows_to_csv(rows)
+    elements = None
+    if with_json:
+        elements = ",\n".join(_element(doc) for doc in rows_to_json_doc(rows))
+    return [SweepPoint(row.a, row.r2, row.delta, row.n_nash) for row in rows], csv_lines, elements
 
-    CSV and JSON rows are appended to temporary files as they arrive; those
-    are renamed over the outputs after the SVG is written, and deleted if
+
+def run_sweep(config: SweepConfig, threads: int = 1) -> int:
+    """Solve one row per (r2, a) pair, ordered by (r2, a) ascending, and write
+    the outputs; returns the number of rows.
+
+    Chunks of CHUNK rows are solved and rendered on up to `threads` workers
+    (never more than there are chunks or CPUs).  Their CSV and JSON text is
+    appended to temporary files as it arrives, in row order; those are
+    renamed over the outputs after the SVG is written, and deleted if
     anything fails, so partial output never lands.
     """
     outputs = config.outputs
+    work = partial(_solve_chunk, with_json=outputs.json is not None)
+    n_chunks = -(-len(config.r2_values) * config.a_grid.count // CHUNK)
+    workers = min(threads, n_chunks, os.cpu_count() or 1)
+    points: list[SweepPoint] = []
     with contextlib.ExitStack() as stack:
         csv_fh = stack.enter_context(_staged(outputs.csv))
         json_fh = stack.enter_context(_staged(outputs.json)) if outputs.json else None
+        if workers > 1:
+            # imported here, its only use: loading the process pool machinery
+            # costs every `import lqnash.cli` about 2.5 MB of memory
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=workers)
+            # on an error, leaving the block cancels the queued chunks instead
+            # of waiting for them
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(work, _chunks(config))
+        else:
+            results = map(work, _chunks(config))
         csv_fh.write(CSV_HEADER)
         separator = "[\n"
-
-        def emit(csv_line: str, element: str | None) -> None:
-            nonlocal separator
-            csv_fh.write(csv_line)
+        for chunk_points, csv_lines, elements in results:
+            points += chunk_points
+            csv_fh.write(csv_lines)
             if json_fh is not None:
-                json_fh.write(separator + element)
+                json_fh.write(separator + elements)
                 separator = ",\n"
-
-        points = run_sweep(config, threads, emit)
         if json_fh is not None:
             # a sweep has at least one row, so the list is never empty
             json_fh.write("\n]\n")
@@ -352,19 +353,17 @@ def _row_doc(row: SweepRow) -> dict:
     }
 
 
-def render_row(row: SweepRow, with_json: bool) -> tuple[str, str | None]:
-    """A row's CSV line and its element of the JSON document's top-level list
-    (None without `with_json`): the text `write_sweep` appends."""
-    if not with_json:
-        return _csv_line(row), None
+def _element(doc: dict) -> str:
+    """A row document as an element of the JSON document's top-level list."""
     out = ["  "]
-    _serialize(_row_doc(row), "  ", out)
-    return _csv_line(row), "".join(out)
+    _serialize(doc, "  ", out)
+    return "".join(out)
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    """The CSV document of `rows`; refuses a row that breaks the discriminant law."""
-    return CSV_HEADER + "".join(_csv_line(_lawful(row)) for row in rows)
+    """The CSV lines of `rows`, without the header; refuses a row that breaks
+    the discriminant law."""
+    return "".join(_csv_line(_lawful(row)) for row in rows)
 
 
 def rows_to_json_doc(rows: list[SweepRow]) -> list[dict]:
@@ -475,11 +474,8 @@ def _fmt(x: float) -> str:
     return format(x, ".2f")
 
 
-def render_svg(rows: list[SweepPoint] | list[SweepRow]) -> str:
-    """Self-contained two-panel figure: transformed discriminant and count vs a.
-
-    Reads a, r2, delta and n_nash of each row, so SweepPoints will do.
-    """
+def render_svg(rows: list[SweepPoint]) -> str:
+    """Self-contained two-panel figure: transformed discriminant and count vs a."""
     width, height = 760.0, 560.0
     margin_l, margin_r, margin_t, panel_gap = 70.0, 20.0, 30.0, 50.0
     panel_h = (height - 2 * margin_t - panel_gap - 30.0) / 2

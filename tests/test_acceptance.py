@@ -29,8 +29,9 @@ from lqnash.solver import (
     pitchfork_game,
     solve,
 )
-from lqnash.sweep import AGrid, SweepConfig, SweepOutputs, run_sweep
+from lqnash.sweep import AGrid, SweepConfig, SweepOutputs, format_float, run_sweep
 from reference_algebra import poly_eval, poly_gcd, scale
+from sweep_output import csv_rows
 
 RNG_SEED = 20250810
 
@@ -206,22 +207,23 @@ def test_criterion_6_figure_regression(tmp_path):
         r2_values=SWEEP_R2_VALUES,
         outputs=SweepOutputs(csv=str(tmp_path / "fig.csv")),
     )
-    rows = run_sweep(config)
+    assert run_sweep(config) == 400 * 4
+    rows = csv_rows(tmp_path / "fig.csv")
     assert len(rows) == 400 * 4
     for r2 in SWEEP_R2_VALUES:
-        series = sorted((r for r in rows if r.r2 == r2), key=lambda r: r.a)
-        signs = [r.delta_sign for r in series]
+        series = sorted((r for r in rows if r["r2"] == format_float(r2)), key=lambda r: float(r["a"]))
+        signs = [int(r["delta_sign"]) for r in series]
         assert all(s != 0 for s in signs)
         changes = [i for i in range(1, len(signs)) if signs[i] != signs[i - 1]]
         assert len(changes) == 2, f"r2={r2}: {len(changes)} sign changes"
         first, second = changes
         assert signs[0] == 1 and signs[first] == -1 and signs[second] == 1
         for row in series[first:second]:
-            assert row.delta_sign == -1 and row.n_nash == 1
+            assert int(row["delta_sign"]) == -1 and int(row["n_nash"]) == 1
         for row in series[second:]:
-            assert row.n_nash == 3
+            assert int(row["n_nash"]) == 3
         for row in series[:first]:
-            assert row.n_nash == 1
+            assert int(row["n_nash"]) == 1
 
     # witness at the exactly represented upper discriminant root of the
     # r2 = 98/27 curve: a = 16/7 gives discriminant exactly zero and two

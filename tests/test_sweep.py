@@ -1,10 +1,12 @@
 """Sweep configuration, grids, and emission invariants."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import math
 import multiprocessing
+import os
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -24,12 +26,12 @@ from lqnash.sweep import (
     a_points,
     format_float,
     parse_config,
-    render_svg,
     rows_to_csv,
     rows_to_json_doc,
     run_sweep,
     SweepConfig,
 )
+from sweep_output import csv_rows
 
 
 # a directory this test module never creates
@@ -99,6 +101,12 @@ class TestConfig:
              "outputs.svg: no directory"),
             ({"outputs": {"csv": "out.csv", "json": str(MISSING_DIR / "out.json")}},
              "outputs.json: no directory"),
+            # rows print r2 as its double, so no two entries may share one
+            ({"r2_values": [1.0, "1"]}, r"r2_values entries 1\.0 and Fraction\(1, 1\) are one double"),
+            ({"r2_values": [1.0, 1.0]}, "r2_values entries 1.0 and 1.0 are one double"),
+            ({"r2_values": ["98/27", 3.6296296296296298]}, "are one double, 3.6296296296296298"),
+            # ... which the double range must hold, even where r2 / b2^2 fits
+            ({"r2_values": ["1e400"], "b2": "1e200"}, "r2_values entry .* is too large for a double"),
         ],
     )
     def test_invariant_violations(self, patch, message):
@@ -117,11 +125,13 @@ class TestConfig:
 
     def test_strings_are_read_exactly_and_numbers_as_doubles(self):
         config = parse_config(minimal_doc(q1="1/2", r1="0.1", q2=0.1, b1="3", x0="1e-3",
-                                          r2_values=["98/27", 3.6296296296296298]))
+                                          r2_values=["98/27", 1.5]))
         assert config.q1 == Fraction(1, 2) and config.r1 == Fraction(1, 10)
         assert config.q2 == 0.1 and type(config.q2) is float
         assert config.b1 == 3 and config.x0 == Fraction(1, 1000)
-        assert config.r2_values == (Fraction(98, 27), 3.6296296296296298)
+        assert config.r2_values == (Fraction(98, 27), 1.5)
+        # the double 98/27 rounds to, in a config of its own: one sweep refuses both
+        assert parse_config(minimal_doc(r2_values=[3.6296296296296298])).r2_values == (98 / 27,)
         # the a-grid stays in doubles
         assert parse_config(minimal_doc(a_grid={"min": "0.5", "max": 2, "count": 4})).a_grid.min == 0.5
 
@@ -138,18 +148,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(minimal_doc(**patch))
 
-    def test_exact_r2_is_solved_exactly_and_printed_as_its_double(self):
-        doc = minimal_doc(q1="1/2", r2_values=["98/27"], a_grid={"min": 2.25, "max": 2.5, "count": 3})
-        rows = run_sweep(parse_config(doc))
-        assert {row.r2 for row in rows} == {98 / 27}
+    def test_exact_r2_is_solved_exactly_and_printed_as_its_double(self, tmp_path):
+        out = tmp_path / "out.csv"
+        doc = minimal_doc(q1="1/2", r2_values=["98/27"], a_grid={"min": 2.25, "max": 2.5, "count": 3},
+                          outputs={"csv": str(out)})
+        assert run_sweep(parse_config(doc)) == 3
+        rows = csv_rows(out)
+        assert {row["r2"] for row in rows} == {format_float(98 / 27)}
+        # the grid points print exactly
+        assert [float(row["a"]) for row in rows] == [2.25, 2.375, 2.5]
         for row in rows:
-            report = solve(GameParams(a=row.a, q1=Fraction(1, 2), q2=1.0, r1=1.0, r2=Fraction(98, 27)))
-            assert (row.delta, row.n_nash) == (report.delta_float, report.n_nash)
+            report = solve(GameParams(a=float(row["a"]), q1=Fraction(1, 2), q2=1.0, r1=1.0,
+                                      r2=Fraction(98, 27)))
+            assert (row["delta"], int(row["n_nash"])) == (format_float(report.delta_float), report.n_nash)
         # the JSON number 98/27 rounds to is another game: its discriminant differs
-        rounded = solve(GameParams(a=rows[0].a, q1=0.5, q2=1.0, r1=1.0, r2=98 / 27))
-        assert rounded.delta != solve(GameParams(a=rows[0].a, q1=0.5, q2=1.0, r1=1.0,
+        a = float(rows[0]["a"])
+        rounded = solve(GameParams(a=a, q1=0.5, q2=1.0, r1=1.0, r2=98 / 27))
+        assert rounded.delta != solve(GameParams(a=a, q1=0.5, q2=1.0, r1=1.0,
                                                  r2=Fraction(98, 27))).delta
-        assert rows_to_csv(rows).splitlines()[1].split(",")[1] == format_float(98 / 27)
+        assert out.read_text(encoding="utf-8").splitlines()[1].split(",")[1] == format_float(98 / 27)
 
     def test_non_object(self):
         with pytest.raises(ConfigError):
@@ -175,20 +192,24 @@ class TestAPoints:
 
 
 class TestEmission:
-    def test_csv_deterministic_and_lf_only(self):
-        config = SweepConfig(
-            q1=0.5, r1=1.0, q2=1.0,
-            a_grid=AGrid(min=0.5, max=3.5, count=7),
-            r2_values=(2.0, 1.0),
-            outputs=SweepOutputs(csv="unused.csv"),
-        )
-        rows = run_sweep(config)
-        text = rows_to_csv(rows)
-        assert text == rows_to_csv(run_sweep(config))
+    def test_csv_deterministic_and_lf_only(self, tmp_path):
+        def swept(name):
+            config = SweepConfig(
+                q1=0.5, r1=1.0, q2=1.0,
+                a_grid=AGrid(min=0.5, max=3.5, count=7),
+                r2_values=(2.0, 1.0),
+                outputs=SweepOutputs(csv=str(tmp_path / name)),
+            )
+            assert run_sweep(config) == 7 * 2
+            return tmp_path / name
+
+        first = swept("first.csv")
+        text = first.read_bytes().decode("utf-8")
+        assert first.read_bytes() == swept("again.csv").read_bytes()
         assert "\r" not in text
         assert len(text.splitlines()) == 1 + 7 * 2
         # r2 values are swept in ascending order regardless of input order
-        r2_col = [line.split(",")[1] for line in text.splitlines()[1:]]
+        r2_col = [row["r2"] for row in csv_rows(first)]
         assert r2_col == sorted(r2_col, key=float)
 
     def test_rows_breaking_the_discriminant_law_are_refused(self):
@@ -200,7 +221,58 @@ class TestEmission:
         with pytest.raises(ConsistencyError, match=r"a=2\.5 r2=1\.5"):
             rows_to_json_doc([row])
         lawful = dataclasses.replace(row, n_nash=1, equilibria=(eq,))
-        assert rows_to_csv([lawful]).count("\n") == 2
+        # one line per row: the header is written once per sweep, not per chunk
+        assert rows_to_csv([lawful]).count("\n") == 1
+
+    @pytest.mark.parametrize("with_json", [False, True])
+    def test_one_worker_renders_each_chunk_through_the_row_renderers(self, tmp_path, monkeypatch,
+                                                                   with_json):
+        calls = {"rows_to_csv": [], "rows_to_json_doc": []}
+        for name, log in calls.items():
+            def counted(rows, render=getattr(sweep, name), log=log):
+                log.append(len(rows))
+                return render(rows)
+            monkeypatch.setattr(sweep, name, counted)
+        outputs = {"csv": str(tmp_path / "out.csv")}
+        if with_json:
+            outputs["json"] = str(tmp_path / "out.json")
+        # 2 x 50 rows: three full chunks and one of 4
+        doc = minimal_doc(a_grid={"min": 0.5, "max": 3.5, "count": 50}, r2_values=[1.0, 2.0],
+                          outputs=outputs)
+        assert run_sweep(parse_config(doc)) == 100
+        assert calls["rows_to_csv"] == [32, 32, 32, 4]
+        assert calls["rows_to_json_doc"] == ([32, 32, 32, 4] if with_json else [])
+        assert len(csv_rows(tmp_path / "out.csv")) == 100
+        if with_json:
+            assert len(json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))) == 100
+
+    @pytest.mark.parametrize("count, cpus, pools", [
+        (50, 64, [4]),     # 100 rows: no more workers than the 4 chunks
+        (400, 3, [3]),     # 800 rows, 25 chunks: no more workers than CPUs
+        (10, 64, []),      # one chunk: the parent solves it alone
+        (50, None, []),    # an unknown CPU count counts as one
+    ])
+    def test_worker_count_is_bounded(self, tmp_path, monkeypatch, count, cpus, pools):
+        made = []
+
+        class RecordingPool:
+            """Records max_workers and runs the chunks here; starts no process."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        doc = minimal_doc(a_grid={"min": 0.5, "max": 3.5, "count": count}, r2_values=[1.0, 2.0],
+                          outputs={"csv": str(tmp_path / "out.csv")})
+        assert run_sweep(parse_config(doc), threads=100_000) == 2 * count
+        assert made == pools
 
     def test_format_float_sig_digits(self):
         assert format_float(1.2290953879362431) == "1.22909538794"
@@ -257,12 +329,13 @@ def test_failure_mid_sweep_leaves_no_output(tmp_path, monkeypatch, capsys, threa
 SVG = "{http://www.w3.org/2000/svg}"
 
 
-def test_figure_svg_has_two_curves_and_a_label_per_r2():
+def test_figure_svg_has_two_curves_and_a_label_per_r2(tmp_path):
     doc = json.loads((ROOT / "configs" / "figure_sweep.json").read_text(encoding="utf-8"))
     doc["a_grid"]["count"] = 50
-    doc["outputs"] = {"csv": "unused.csv"}
+    doc["outputs"] = {"csv": str(tmp_path / "out.csv"), "svg": str(tmp_path / "out.svg")}
     config = parse_config(doc)
-    root = ET.fromstring(render_svg(run_sweep(config)))
+    run_sweep(config)
+    root = ET.parse(tmp_path / "out.svg").getroot()
     assert root.tag == SVG + "svg"
     r2s = sorted(config.r2_values)
     polylines = root.findall(SVG + "polyline")
@@ -286,8 +359,10 @@ class TestGolden:
             assert written[kind] == golden.read_bytes(), kind
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_worker_pool_writes_the_same_bytes(self, tmp_path, threads):
-        # rows are rendered in the workers and streamed in order by the parent
+    def test_worker_pool_writes_the_same_bytes(self, tmp_path, monkeypatch, threads):
+        # rows are rendered in the workers and streamed in order by the parent;
+        # a sweep starts no more workers than CPUs, so claim enough of them
+        monkeypatch.setattr(os, "cpu_count", lambda: threads)
         (tmp_path / "one").mkdir()
         (tmp_path / "pool").mkdir()
         serial = run_figure_sweep(tmp_path / "one", count=50)
