@@ -32,7 +32,11 @@ _FIELDS = ("a", "q1", "q2", "r1", "r2", "b1", "b2", "x0")
 
 @dataclass(frozen=True)
 class GameParams:
-    """Raw description: dynamics gain a, input gains b_i, weights q_i, r_i > 0."""
+    """Raw description: dynamics gain a, input gains b_i, weights q_i, r_i > 0.
+
+    Construction raises InvalidGameError on a non-finite float, a weight
+    q_i or r_i that is not positive, or an input gain b_i = 0.
+    """
 
     a: Real
     q1: Real
@@ -43,7 +47,7 @@ class GameParams:
     b2: Real = 1
     x0: Real = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # finiteness first, so that NaN is named as such and not as "<= 0"
         for name in _FIELDS:
             v = getattr(self, name)
@@ -90,7 +94,6 @@ def normalize(params: GameParams) -> NormalizedGame:
     the same game given as ints, floats or Fractions normalizes to the same
     canonical game, with no rounding.
     """
-    params.validate()
     a, q1, q2, r1, r2, b1, b2, x0 = (_exact(getattr(params, name)) for name in _FIELDS)
     if a == 0:
         raise TrivialGame()
@@ -182,8 +185,8 @@ class CostReport:
 def cost(norm: NormalizedGame, k1: float, k2: float) -> CostReport:
     """Infinite-horizon costs of both players; infinite outside |a_cl| < 1.
 
-    The infinite case is a value, not an error, so grid scans can compare
-    unstable cells.
+    The infinite case is a value, not an error, so a caller can cost any
+    pair of gains without first checking that it stabilizes.
     """
     a_cl = closed_loop(norm.a, k1, k2)
     if abs(a_cl) >= 1:

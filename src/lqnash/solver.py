@@ -130,39 +130,14 @@ class NashEquilibrium:
 
 
 @dataclass(frozen=True)
-class TheoremFlags:
-    """The discriminant law: one to three equilibria, exactly one when the
-    discriminant is negative, at most two when it is zero."""
-
-    existence: bool
-    at_most_three: bool
-    delta_consistency: bool
-
-    @classmethod
-    def checked(cls, n_nash: int, delta_sign: int, where: str) -> "TheoremFlags":
-        """The flags of n_nash equilibria under a discriminant of sign delta_sign.
-
-        Raises ConsistencyError naming `where` if the law fails.
-        """
-        flags = cls(
-            existence=n_nash >= 1,
-            at_most_three=n_nash <= 3,
-            delta_consistency=(delta_sign >= 0 or n_nash == 1) and (delta_sign != 0 or n_nash <= 2),
-        )
-        if not flags.all_ok:
-            raise ConsistencyError(
-                f"{where} violates the discriminant law (sign {delta_sign}, {n_nash} equilibria)"
-            )
-        return flags
-
-    @property
-    def all_ok(self) -> bool:
-        return self.existence and self.at_most_three and self.delta_consistency
-
-
-@dataclass(frozen=True)
 class SolveReport:
-    """Full account of one solved game."""
+    """Full account of one solved game.
+
+    Construction raises ConsistencyError unless the report obeys the
+    discriminant law (one to three equilibria, exactly one when the
+    discriminant is negative, at most two when it is zero) and the quintic
+    has real roots below 0 and above a.
+    """
 
     g2: UniPoly
     delta: Fraction
@@ -171,8 +146,15 @@ class SolveReport:
     roots_below_zero: int
     roots_above_a: int
     equilibria: tuple[NashEquilibrium, ...]
-    theorem_flags: TheoremFlags
     game: NormalizedGame  # the exact canonical game that was solved
+
+    def __post_init__(self) -> None:
+        n, sign = len(self.equilibria), self.delta_sign
+        if not (1 <= n <= 3 and (sign >= 0 or n == 1) and (sign != 0 or n <= 2)):
+            raise ConsistencyError(
+                f"solve violates the discriminant law (sign {sign}, {n} equilibria)")
+        if self.roots_below_zero < 1 or self.roots_above_a < 1:
+            raise ConsistencyError("expected roots outside [0, a] on both sides")
 
     @property
     def n_nash(self) -> int:
@@ -240,10 +222,6 @@ def solve(params: GameParams) -> SolveReport:
             )
         )
 
-    flags = TheoremFlags.checked(len(equilibria), delta_sign, "solve")
-    if roots_below < 1 or roots_above < 1:
-        raise ConsistencyError("expected roots outside [0, a] on both sides")
-
     return SolveReport(
         g2=g2,
         delta=delta,
@@ -252,7 +230,6 @@ def solve(params: GameParams) -> SolveReport:
         roots_below_zero=roots_below,
         roots_above_a=roots_above,
         equilibria=tuple(equilibria),
-        theorem_flags=flags,
         game=norm,
     )
 
@@ -296,9 +273,7 @@ def fold_game(c: Fraction, k1: Fraction, r1: Fraction = Fraction(1)) -> tuple[Ga
     a = c + k1 + k2
     q1 = r1 * k1 * (1 - c * c - c * k1) / c
     r2 = c / (k2 * (1 - c * c - c * k2))
-    params = GameParams(a=a, q1=q1, q2=Fraction(1), r1=r1, r2=r2)
-    params.validate()
-    return params, (k1, k2)
+    return GameParams(a=a, q1=q1, q2=Fraction(1), r1=r1, r2=r2), (k1, k2)
 
 
 def pitchfork_game(s: Fraction, r: Fraction = Fraction(1)) -> tuple[GameParams, Fraction]:
@@ -318,6 +293,4 @@ def pitchfork_game(s: Fraction, r: Fraction = Fraction(1)) -> tuple[GameParams, 
     h = Fraction(num, den)
     a = s + h
     q = r * s * s
-    params = GameParams(a=a, q1=q, q2=q, r1=r, r2=r)
-    params.validate()
-    return params, s
+    return GameParams(a=a, q1=q, q2=q, r1=r, r2=r), s

@@ -2,15 +2,14 @@
 
 A sweep solves one game per (r2, a) point, in chunks of consecutive points,
 optionally across worker processes.  The worker that solves a chunk also
-checks the discriminant law on its rows and renders their CSV lines and
-canonical-JSON elements (`rows_to_csv`, `rows_to_json_doc`).  `run_sweep`
-takes the chunks in (r2, a) order as they arrive, appends their text to
-temporary files beside the CSV and JSON outputs, and keeps only the four
-numbers per row that the SVG plots.  Once every row and the SVG are written
-the temporary files are renamed over the outputs; on any error they are
-deleted, so partial output never lands.  The parent's memory therefore does
-not grow with whole rows, and the output is byte-identical at every worker
-count.
+renders its rows' CSV lines and canonical-JSON elements (`rows_to_csv`,
+`rows_to_json_doc`).  `run_sweep` takes the chunks in (r2, a) order as they
+arrive, appends their text to temporary files beside the CSV and JSON
+outputs, and keeps only the four numbers per row that the SVG plots.  Once
+every row and the SVG are written the temporary files are renamed over the
+outputs; on any error they are deleted, so partial output never lands.  The
+parent's memory therefore does not grow with whole rows, and the output is
+byte-identical at every worker count.
 
 Canonical JSON (`canonical_dumps`) lives here beside `format_float`: sorted
 keys, two-space indent, 12-significant-digit floats, so that parsing a
@@ -32,7 +31,7 @@ from numbers import Real
 from typing import NamedTuple
 
 from .game import GameParams, InvalidGameError, float_game, normalize, parse_rational
-from .solver import NashEquilibrium, TheoremFlags, solve
+from .solver import SolveReport, solve
 
 CSV_COLUMNS = (
     "a", "r2", "delta", "delta_sign", "n_real_roots_g", "n_nash",
@@ -69,7 +68,13 @@ class SweepOutputs:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A sweep; each game number is a float (a JSON number) or a Fraction (a string)."""
+    """A sweep; each game number is a float (a JSON number) or a Fraction (a string).
+
+    Construction raises ConfigError unless the grid is finite, positive and
+    nonempty, the r2 values are nonempty with distinct doubles, every game
+    of the sweep has a float image, and the outputs name distinct files in
+    existing directories.
+    """
 
     q1: Real
     r1: Real
@@ -81,16 +86,17 @@ class SweepConfig:
     b2: Real = 1.0
     x0: Real = 1.0
 
+    def __post_init__(self) -> None:
+        _validate(self)
+
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One solved grid point: a, the double of r2 (as the rows print it), and its report."""
+
     a: float
     r2: float
-    delta: float
-    delta_sign: int
-    n_real_roots_g: int
-    n_nash: int
-    equilibria: tuple[NashEquilibrium, ...]
+    report: SolveReport
 
 
 class SweepPoint(NamedTuple):
@@ -132,7 +138,7 @@ def parse_config(doc: dict) -> SweepConfig:
         )
         if not isinstance(doc["r2_values"], list):
             raise ConfigError("r2_values must be a JSON array")
-        config = SweepConfig(
+        fields = dict(
             q1=_game_number(doc["q1"], "q1"),
             r1=_game_number(doc["r1"], "r1"),
             q2=_game_number(doc["q2"], "q2"),
@@ -145,8 +151,7 @@ def parse_config(doc: dict) -> SweepConfig:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed sweep config: {exc}") from exc
-    _validate(config)
-    return config
+    return SweepConfig(**fields)
 
 
 def _number(value, field: str) -> float:
@@ -194,11 +199,19 @@ def _validate(config: SweepConfig) -> None:
         raise ConfigError("a_grid.max / a_grid.min overflows a double under log spacing")
     if not config.r2_values:
         raise ConfigError("r2_values must be nonempty")
-    # checked before solving: a write that fails would come after the whole sweep
+    # checked before solving: a write that fails would come after the whole
+    # sweep, and a file named twice would be staged twice, the last rename winning
+    named: dict[str, str] = {}
     for field in ("csv", "svg", "json"):
         path = getattr(config.outputs, field)
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        if path is None:
+            continue
+        full = os.path.abspath(path)
+        if not os.path.isdir(os.path.dirname(full)):
             raise ConfigError(f"outputs.{field}: no directory to write {path!r} into")
+        if full in named:
+            raise ConfigError(f"outputs.{named[full]} and outputs.{field} name one file, {path!r}")
+        named[full] = field
     # r_i / b_i^2 can leave the double range, which no grid point changes.
     # Rows print each r2 as its double, so it needs one, and two entries
     # with one double would print, and plot, as one curve.
@@ -227,19 +240,6 @@ def a_points(grid: AGrid) -> list[float]:
     return [grid.min + i * step for i in range(grid.count)]
 
 
-def _row_for_point(params: GameParams) -> SweepRow:
-    report = solve(params)
-    return SweepRow(
-        a=params.a,
-        r2=float(params.r2),  # the double of an exact r2, as the rows print it
-        delta=report.delta_float,
-        delta_sign=report.delta_sign,
-        n_real_roots_g=report.real_roots_total,
-        n_nash=report.n_nash,
-        equilibria=report.equilibria,
-    )
-
-
 def _chunks(config: SweepConfig):
     """The sweep's games in (r2, a) order, CHUNK at a time, built as they are taken."""
     games = (
@@ -256,12 +256,13 @@ def _solve_chunk(chunk: list[GameParams], with_json: bool) -> tuple[list[SweepPo
     """One chunk's whole job, done in the worker that solves it: the SVG's
     numbers, the CSV lines and (if the sweep writes JSON) the elements of the
     JSON document's top-level list, joined by ",\\n"."""
-    rows = [_row_for_point(params) for params in chunk]
+    rows = [SweepRow(params.a, float(params.r2), solve(params)) for params in chunk]
     csv_lines = rows_to_csv(rows)
     elements = None
     if with_json:
         elements = ",\n".join(_element(doc) for doc in rows_to_json_doc(rows))
-    return [SweepPoint(row.a, row.r2, row.delta, row.n_nash) for row in rows], csv_lines, elements
+    points = [SweepPoint(row.a, row.r2, row.report.delta_float, row.report.n_nash) for row in rows]
+    return points, csv_lines, elements
 
 
 def run_sweep(config: SweepConfig, threads: int = 1) -> int:
@@ -315,23 +316,19 @@ def format_float(x: float) -> str:
     return format(x, ".12g")
 
 
-def _lawful(row: SweepRow) -> SweepRow:
-    TheoremFlags.checked(row.n_nash, row.delta_sign, f"sweep row a={row.a} r2={row.r2}")
-    return row
-
-
 def _csv_line(row: SweepRow) -> str:
+    report = row.report
     fields = [
         format_float(row.a),
         format_float(row.r2),
-        format_float(row.delta),
-        str(row.delta_sign),
-        str(row.n_real_roots_g),
-        str(row.n_nash),
+        format_float(report.delta_float),
+        str(report.delta_sign),
+        str(report.real_roots_total),
+        str(report.n_nash),
     ]
     for i in range(3):
-        if i < len(row.equilibria):
-            e = row.equilibria[i]
+        if i < report.n_nash:
+            e = report.equilibria[i]
             fields += [format_float(e.k1), format_float(e.k2), format_float(e.j1), format_float(e.j2)]
         else:
             fields += ["", "", "", ""]
@@ -339,16 +336,17 @@ def _csv_line(row: SweepRow) -> str:
 
 
 def _row_doc(row: SweepRow) -> dict:
+    report = row.report
     return {
         "a": row.a,
         "r2": row.r2,
-        "delta": row.delta,
-        "delta_sign": row.delta_sign,
-        "n_real_roots_g": row.n_real_roots_g,
-        "n_nash": row.n_nash,
+        "delta": report.delta_float,
+        "delta_sign": report.delta_sign,
+        "n_real_roots_g": report.real_roots_total,
+        "n_nash": report.n_nash,
         "equilibria": [
             {"k1": e.k1, "k2": e.k2, "a_cl": e.a_cl, "j1": e.j1, "j2": e.j2}
-            for e in row.equilibria
+            for e in report.equilibria
         ],
     }
 
@@ -361,15 +359,13 @@ def _element(doc: dict) -> str:
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    """The CSV lines of `rows`, without the header; refuses a row that breaks
-    the discriminant law."""
-    return "".join(_csv_line(_lawful(row)) for row in rows)
+    """The CSV lines of `rows`, without the header."""
+    return "".join(_csv_line(row) for row in rows)
 
 
 def rows_to_json_doc(rows: list[SweepRow]) -> list[dict]:
-    """The JSON document of `rows`, to serialize with `canonical_dumps`;
-    refuses a row that breaks the discriminant law."""
-    return [_row_doc(_lawful(row)) for row in rows]
+    """The JSON document of `rows`, to serialize with `canonical_dumps`."""
+    return [_row_doc(row) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,12 @@ class TestSolveCommand:
         doc = json.loads(out)
         assert doc["trivial"] is True
         assert doc["equilibria"][0]["k1"] == 0.0 and doc["equilibria"][0]["k2"] == 0.0
+        # x0^2 overflows a double to inf, as in the costs of a nontrivial game
+        for a in ("0", "1"):
+            code, out, _ = run_cli(capsys, ["solve", *ALL_ONES, "--a", a, "--x0", "1e200"])
+            assert code == 0
+            eq = json.loads(out)["equilibria"][0]
+            assert eq["j1"] == eq["j2"] == math.inf
 
     def test_invalid_parameter_names_invariant(self, capsys):
         code, _, err = run_cli(
@@ -250,9 +256,9 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("name, value", [("q1", 0), ("r1", -1), ("b2", 0), ("r2", -2)])
     def test_solve_and_sweep_refuse_a_game_with_the_same_message(self, capsys, tmp_path, name, value):
-        # both gates are GameParams.validate
+        # both gates build a GameParams
         with pytest.raises(InvalidGameError) as refused:
-            GameParams(**{"a": 1, "q1": 1, "q2": 1, "r1": 1, "r2": 1, name: value}).validate()
+            GameParams(**{"a": 1, "q1": 1, "q2": 1, "r1": 1, "r2": 1, name: value})
         message = str(refused.value)
         game = dict(zip(ALL_ONES[::2], ALL_ONES[1::2]))
         game[f"--{name}"] = str(value)
@@ -280,6 +286,16 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, ["sweep", str(path)])
         assert code == 2
         assert err.startswith(f"invalid sweep config: outputs.{kind}: no directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_one_file_named_twice_exits_2_before_solving(self, capsys, tmp_path):
+        # staged twice, one rename would land over the other
+        path, _ = write_config(tmp_path, outputs={"csv": str(tmp_path / "out.txt"),
+                                                  "json": str(tmp_path / "out.txt")})
+        code, _, err = run_cli(capsys, ["sweep", str(path)])
+        assert code == 2
+        assert err == (f"invalid sweep config: outputs.csv and outputs.json name one file, "
+                       f"{str(tmp_path / 'out.txt')!r}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_gain_past_the_double_range_exits_2_before_solving(self, capsys, monkeypatch, tmp_path):

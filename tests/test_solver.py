@@ -185,7 +185,6 @@ class TestSolve:
         assert eq.residual_norm <= 1e-8
         assert report.real_roots_total == 3
         assert report.roots_below_zero == 1 and report.roots_above_a == 1
-        assert report.theorem_flags.all_ok
 
     def test_sweep_family_small_a(self):
         report = solve(GameParams(a=0.0001, q1=0.5, q2=1, r1=1, r2=1))
@@ -292,6 +291,30 @@ class TestSolve:
 
 
 class TestReport:
+    @pytest.mark.parametrize("sign, n", [(-1, 1), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3)])
+    def test_reports_within_the_discriminant_law_are_built(self, sign, n):
+        report = solve(ALL_ONES)
+        eq = report.equilibria[0]
+        dataclasses.replace(report, delta_sign=sign, equilibria=(eq,) * n)
+
+    @pytest.mark.parametrize("sign, n", [
+        (1, 0), (0, 0), (-1, 0),  # no equilibrium
+        (1, 4),                   # more than three
+        (-1, 2), (-1, 3),         # a negative discriminant has exactly one
+        (0, 3),                   # a zero discriminant has at most two
+    ])
+    def test_reports_breaking_the_discriminant_law_are_refused(self, sign, n):
+        report = solve(ALL_ONES)
+        eq = report.equilibria[0]
+        with pytest.raises(ConsistencyError, match=rf"^solve violates the discriminant law "
+                                                   rf"\(sign {sign}, {n} equilibria\)$"):
+            dataclasses.replace(report, delta_sign=sign, equilibria=(eq,) * n)
+
+    @pytest.mark.parametrize("side", ["roots_below_zero", "roots_above_a"])
+    def test_reports_missing_a_root_outside_the_window_are_refused(self, side):
+        with pytest.raises(ConsistencyError, match="expected roots outside"):
+            dataclasses.replace(solve(ALL_ONES), **{side: 0})
+
     def test_carries_the_exact_game_it_solved(self):
         params = GameParams(a=-1.5, q1=1, q2=Fraction(1, 3), r1=2, r2=1, b1=3)
         assert solve(params).game == normalize(params)

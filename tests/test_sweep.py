@@ -1,7 +1,6 @@
 """Sweep configuration, grids, and emission invariants."""
 
 import concurrent.futures
-import dataclasses
 import hashlib
 import json
 import math
@@ -17,7 +16,7 @@ import pytest
 import lqnash.cli as cli
 import lqnash.sweep as sweep
 from lqnash.game import GameParams
-from lqnash.solver import ConsistencyError, NashEquilibrium, solve
+from lqnash.solver import ConsistencyError, solve
 from lqnash.sweep import (
     AGrid,
     ConfigError,
@@ -107,11 +106,29 @@ class TestConfig:
             ({"r2_values": ["98/27", 3.6296296296296298]}, "are one double, 3.6296296296296298"),
             # ... which the double range must hold, even where r2 / b2^2 fits
             ({"r2_values": ["1e400"], "b2": "1e200"}, "r2_values entry .* is too large for a double"),
+            # each output is its own file, however its path is spelled
+            ({"outputs": {"csv": "out.txt", "json": "out.txt", "svg": "out.txt"}},
+             "^outputs.csv and outputs.svg name one file, 'out.txt'$"),
+            ({"outputs": {"csv": "out.csv", "json": os.path.join(".", "out.csv")}},
+             "^outputs.csv and outputs.json name one file"),
         ],
     )
     def test_invariant_violations(self, patch, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(minimal_doc(**patch))
+
+    @pytest.mark.parametrize("patch, message", [
+        ({"a_grid": AGrid(min=0.5, max=2.0, count=0)}, "a_grid.count must be an integer >= 1"),
+        ({"r2_values": (1.0, 1.0)}, "r2_values entries 1.0 and 1.0 are one double"),
+        ({"r2_values": ()}, "r2_values must be nonempty"),
+        ({"q1": 0.0}, "q1 must be > 0"),
+    ])
+    def test_library_built_configs_are_refused(self, patch, message):
+        fields = dict(q1=0.5, r1=1.0, q2=1.0, a_grid=AGrid(min=0.5, max=2.0, count=3),
+                      r2_values=(1.0,), outputs=SweepOutputs(csv="out.csv"))
+        SweepConfig(**fields)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SweepConfig(**{**fields, **patch})
 
     def test_missing_key(self):
         doc = minimal_doc()
@@ -212,17 +229,14 @@ class TestEmission:
         r2_col = [row["r2"] for row in csv_rows(first)]
         assert r2_col == sorted(r2_col, key=float)
 
-    def test_rows_breaking_the_discriminant_law_are_refused(self):
-        eq = NashEquilibrium(k1=0.1, k2=0.2, a_cl=0.5, j1=1.0, j2=1.0, residual_norm=0.0, root_multiplicity=1)
-        row = SweepRow(a=2.5, r2=1.5, delta=-1.0, delta_sign=-1, n_real_roots_g=5,
-                       n_nash=3, equilibria=(eq, eq, eq))
-        with pytest.raises(ConsistencyError, match=r"a=2\.5 r2=1\.5"):
-            rows_to_csv([row])
-        with pytest.raises(ConsistencyError, match=r"a=2\.5 r2=1\.5"):
-            rows_to_json_doc([row])
-        lawful = dataclasses.replace(row, n_nash=1, equilibria=(eq,))
+    def test_rows_render_their_reports(self):
+        report = solve(GameParams(a=1, q1=1, q2=1, r1=1, r2=1))
+        row = SweepRow(a=1.0, r2=1.0, report=report)
         # one line per row: the header is written once per sweep, not per chunk
-        assert rows_to_csv([lawful]).count("\n") == 1
+        line = rows_to_csv([row])
+        assert line.count("\n") == 1
+        assert line.split(",")[2:6] == [format_float(report.delta_float), "-1", "3", "1"]
+        assert rows_to_json_doc([row])[0]["n_real_roots_g"] == report.real_roots_total
 
     @pytest.mark.parametrize("with_json", [False, True])
     def test_one_worker_renders_each_chunk_through_the_row_renderers(self, tmp_path, monkeypatch,
