@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import random
 import re
 import sys
 
-from .exactalg import UniPoly
 # not called here: perfbench/tracing.py still wraps these two names in this module
 from .exactalg import isolate_real_roots, refine_root  # noqa: F401
 from .game import (
@@ -58,27 +58,6 @@ VERIFY_TOL = 1e-6
 
 class InputError(Exception):
     """Input rejected before any work; `main` prints it and exits 2."""
-
-
-def format_poly(p: UniPoly, var: str = "k2") -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = f"{mag}"
-        else:
-            power = var if i == 1 else f"{var}^{i}"
-            body = power if mag == 1 else f"{mag}*{power}"
-        parts.append(("-" if c < 0 else "+", body))
-    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -280,108 +259,97 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _match_sets(found: list, expected: list, tol: float) -> tuple[bool, float, str]:
-    """Pairwise set agreement within tol; reports the worst deviation."""
-    if len(found) != len(expected):
-        return False, math.inf, f"{len(found)} pairs vs {len(expected)}"
-    worst = 0.0
-    used = [False] * len(expected)
-    for f in found:
-        best, best_i = math.inf, -1
-        for i, e in enumerate(expected):
-            if used[i]:
-                continue
-            d = max(abs(f[0] - e[0]), abs(f[1] - e[1]))
-            if d < best:
-                best, best_i = d, i
-        if best_i < 0 or best > tol:
-            return False, best, f"pair ({f[0]:.9g}, {f[1]:.9g}) unmatched (deviation {best:.3g})"
-        used[best_i] = True
-        worst = max(worst, best)
-    return True, worst, ""
+def _deviation(p: tuple[float, float], q: tuple[float, float]) -> float:
+    """Chebyshev distance between two pairs; infinite if a coordinate is NaN."""
+    dx, dy = abs(p[0] - q[0]), abs(p[1] - q[1])
+    # max() drops a NaN that is not its first argument
+    return math.inf if math.isnan(dx) or math.isnan(dy) else max(dx, dy)
 
 
-def cmd_verify(args) -> int:
-    params = _game_from_args(args)
-    report = solve(params)
-    norm = report.game
-    fnorm = float_game(norm)
-    solved = [renormalize_equilibrium(fnorm, (e.k1, e.k2)) for e in report.equilibria]
+def _match_pairs(scanned: list, solved: list) -> tuple[str | None, str | None]:
+    """The scanned pairs against the solved ones, one to one: of every order
+    of the solved pairs (at most 3! = 6), the one whose largest deviation is
+    smallest, which must be within VERIFY_TOL."""
+    if len(scanned) != len(solved):
+        return None, f"{len(scanned)} pairs vs {len(solved)}"
+    deviations = min(([_deviation(f, e) for f, e in zip(scanned, order)]
+                      for order in itertools.permutations(solved)), key=max)
+    worst = max(deviations)
+    if worst <= VERIFY_TOL:
+        return f"agree ({len(scanned)} pairs, max deviation {worst:.3g})", None
+    k1, k2 = scanned[deviations.index(worst)]
+    return None, f"pair ({k1:.9g}, {k2:.9g}) unmatched (deviation {worst:.3g})"
+
+
+def _check_br_iteration(fnorm, solved: list, seed: int | None) -> tuple[str | None, str | None]:
+    """Best-response iteration from 8 starts spread over (0, a), jittered
+    when seeded; each start that converges must land on a solved pair."""
     a = fnorm.a
-    failures = []
-    lines = [f"solve: {len(solved)} equilibrium(s), delta sign {report.delta_sign}"]
-
-    scanned = grid_scan(fnorm, GRID_DEFAULT)
-    ok, worst, detail = _match_sets(scanned, solved, VERIFY_TOL)
-    lines.append(
-        f"grid_scan(n={GRID_DEFAULT}): "
-        + (f"agree ({len(scanned)} pairs, max deviation {worst:.3g})" if ok else f"DISAGREE: {detail}")
-    )
-    if not ok:
-        failures.append(("grid_scan", detail))
-
-    rng = random.Random(args.seed)
-    starts = []
-    for i in range(1, 9):
-        base = a * i / 9.0
-        if args.seed is not None:
-            base += rng.uniform(-a / 18.0, a / 18.0)
-        starts.append(min(max(base, 1e-12), a - 1e-12))
+    rng = random.Random(seed)
     converged = 0
-    for s in starts:
-        res = br_iteration(fnorm, s, max_iter=500, tol=VERIFY_TOL / 100.0)
+    for i in range(1, 9):
+        start = a * i / 9.0
+        if seed is not None:
+            start += rng.uniform(-a / 18.0, a / 18.0)
+        res = br_iteration(fnorm, min(max(start, 1e-12), a - 1e-12), max_iter=500,
+                           tol=VERIFY_TOL / 100.0)
         if not res.converged:
             continue
         converged += 1
-        best = min(
-            (max(abs(res.k1 - e[0]), abs(res.k2 - e[1])) for e in solved), default=math.inf
-        )
-        if best > 10 * VERIFY_TOL:
-            detail = f"fixed point ({res.k1:.9g}, {res.k2:.9g}) not among solved pairs"
-            failures.append(("br_iteration", detail))
-            lines.append(f"br_iteration: DISAGREE: {detail}")
-            break
-    else:
-        if converged:
-            lines.append(f"br_iteration: agree ({converged}/8 starts converged, all matched)")
-        else:
-            # nothing to compare: not a disagreement, since the composed
-            # best-response map need not contract near any equilibrium
-            lines.append("br_iteration: inconclusive (0/8 starts converged)")
+        if min(_deviation((res.k1, res.k2), e) for e in solved) > 10 * VERIFY_TOL:
+            return None, f"fixed point ({res.k1:.9g}, {res.k2:.9g}) not among solved pairs"
+    if converged:
+        return f"agree ({converged}/8 starts converged, all matched)", None
+    # nothing to compare: not a disagreement, since the composed
+    # best-response map need not contract near any equilibrium
+    return "inconclusive (0/8 starts converged)", None
 
-    res_poly = resultant_elimination(norm)
-    if res_poly == report.g2:
-        lines.append("resultant_elimination: agree (exactly the solver's quintic)")
-    else:
-        detail = "the resultant is not the solver's quintic"
-        failures.append(("resultant_elimination", detail))
-        lines.append(f"resultant_elimination: DISAGREE: {detail}")
 
-    worst_sim = 0.0
-    sim_ok = True
+def _check_resultant(report: SolveReport) -> tuple[str | None, str | None]:
+    if resultant_elimination(report.game) == report.g2:
+        return "agree (exactly the solver's quintic)", None
+    return None, "the resultant is not the solver's quintic"
+
+
+def _check_simulated_cost(fnorm, solved: list) -> tuple[str | None, str | None]:
+    """Each solved pair's 200-step partial costs against its closed-form
+    costs, allowing the geometric tail past step 200."""
+    worst = 0.0
     for k1, k2 in solved:
         final = simulate_cost(fnorm, k1, k2, 200)
         closed = cost(fnorm, k1, k2)
-        a_cl = closed.a_cl
         for partial, total in ((final.partial_cost_1, closed.j1), (final.partial_cost_2, closed.j2)):
-            tail = abs(total) * abs(a_cl) ** 402 + 1e-9 * (1 + abs(total))
             err = abs(partial - total)
-            worst_sim = max(worst_sim, err)
-            if err > tail:
-                sim_ok = False
-                detail = f"simulated cost off by {err:.3g} at pair ({k1:.9g}, {k2:.9g})"
-                failures.append(("simulate_cost", detail))
-                lines.append(f"simulate_cost: DISAGREE: {detail}")
-                break
-        if not sim_ok:
-            break
-    if sim_ok:
-        lines.append(f"simulate_cost(T=200): agree (max error {worst_sim:.3g})")
+            if err > abs(total) * abs(closed.a_cl) ** 402 + 1e-9 * (1 + abs(total)):
+                return None, f"simulated cost off by {err:.3g} at pair ({k1:.9g}, {k2:.9g})"
+            worst = max(worst, err)
+    return f"agree (max error {worst:.3g})", None
 
-    for line in lines:
-        print(line)
-    if failures:
-        print(f"VERDICT: FAIL ({failures[0][0]}: {failures[0][1]})")
+
+def cmd_verify(args) -> int:
+    report = solve(_game_from_args(args))
+    fnorm = float_game(report.game)
+    solved = [renormalize_equilibrium(fnorm, (e.k1, e.k2)) for e in report.equilibria]
+    # (oracle, its label, its check): a check returns (agreement text, None)
+    # or (None, disagreement detail)
+    checks = (
+        ("grid_scan", f"grid_scan(n={GRID_DEFAULT})",
+         lambda: _match_pairs(grid_scan(fnorm, GRID_DEFAULT), solved)),
+        ("br_iteration", "br_iteration", lambda: _check_br_iteration(fnorm, solved, args.seed)),
+        ("resultant_elimination", "resultant_elimination", lambda: _check_resultant(report)),
+        ("simulate_cost", "simulate_cost(T=200)", lambda: _check_simulated_cost(fnorm, solved)),
+    )
+    print(f"solve: {len(solved)} equilibrium(s), delta sign {report.delta_sign}")
+    failure = None
+    for oracle, label, check in checks:
+        text, detail = check()
+        if detail is None:
+            print(f"{label}: {text}")
+        else:
+            print(f"{label}: DISAGREE: {detail}")
+            failure = failure or f"{oracle}: {detail}"
+    if failure:
+        print(f"VERDICT: FAIL ({failure})")
         return EXIT_DISAGREE
     print("VERDICT: PASS")
     return EXIT_OK
@@ -396,8 +364,8 @@ def cmd_groebner_check(args) -> int:
     norm = normalize(_game_from_args(args))
     direct = build_g(norm).monic()
     eliminated = elimination_polynomial(buchberger(stationarity_system(norm)))
-    print(f"direct quintic:     {format_poly(direct)}")
-    print(f"buchberger version: {format_poly(eliminated)}")
+    print(f"direct quintic:     {direct.to_str('k2')}")
+    print(f"buchberger version: {eliminated.to_str('k2')}")
     if eliminated == direct:
         print("PASS: elimination polynomial matches the closed form exactly")
         return EXIT_OK

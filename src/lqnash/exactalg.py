@@ -59,16 +59,26 @@ class UniPoly:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "UniPoly(0)"
-        parts = []
+        return f"UniPoly({self.to_str()})"
+
+    def to_str(self, var: str = "x") -> str:
+        """Highest degree first, each sign between its terms: `x^2 - 3/2*x + 1`."""
+        text = ""
         for i in range(self.degree, -1, -1):
             c = self.coeffs[i]
             if c == 0:
                 continue
-            term = f"{c}" if i == 0 else (f"{c}*x" if i == 1 else f"{c}*x^{i}")
-            parts.append(term)
-        return "UniPoly(" + " + ".join(parts) + ")"
+            if i == 0:
+                body = f"{abs(c)}"
+            else:
+                power = var if i == 1 else f"{var}^{i}"
+                body = power if abs(c) == 1 else f"{abs(c)}*{power}"
+            if text:
+                text += " - " if c < 0 else " + "
+            elif c < 0:
+                text = "-"
+            text += body
+        return text or "0"
 
 
 def _int_primitive(p: UniPoly) -> tuple[list[int], Fraction]:

@@ -71,9 +71,10 @@ class SweepConfig:
     """A sweep; each game number is a float (a JSON number) or a Fraction (a string).
 
     Construction raises ConfigError unless the grid is finite, positive and
-    nonempty, the r2 values are nonempty with distinct doubles, every game
-    of the sweep has a float image, and the outputs name distinct files in
-    existing directories.
+    nonempty with strictly increasing points, the r2 values are nonempty
+    with distinct doubles, every game of the sweep has a float image, and
+    the outputs name distinct files, none a directory, in existing
+    directories.
     """
 
     q1: Real
@@ -197,6 +198,12 @@ def _validate(config: SweepConfig) -> None:
     # the last log point is min * (max / min), which can overflow though both are finite
     if grid.spacing == "log" and not math.isfinite(grid.min * (grid.max / grid.min)):
         raise ConfigError("a_grid.max / a_grid.min overflows a double under log spacing")
+    # as with r2, two grid points with one double would print as one row twice
+    points = a_points(grid)
+    for i, (lo, hi) in enumerate(zip(points, points[1:])):
+        if not lo < hi:
+            raise ConfigError(f"a_grid points {i} and {i + 1} are {lo!r} and {hi!r}; "
+                              f"the {grid.count} points must strictly increase")
     if not config.r2_values:
         raise ConfigError("r2_values must be nonempty")
     # checked before solving: a write that fails would come after the whole
@@ -209,6 +216,8 @@ def _validate(config: SweepConfig) -> None:
         full = os.path.abspath(path)
         if not os.path.isdir(os.path.dirname(full)):
             raise ConfigError(f"outputs.{field}: no directory to write {path!r} into")
+        if os.path.isdir(full):
+            raise ConfigError(f"outputs.{field}: {path!r} is a directory")
         if full in named:
             raise ConfigError(f"outputs.{named[full]} and outputs.{field} name one file, {path!r}")
         named[full] = field

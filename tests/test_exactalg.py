@@ -94,6 +94,23 @@ class TestPolyEval:
         assert poly_eval(g, 0) == Fraction(1, 2)
 
 
+class TestPolyText:
+    # groebner-check prints its quintics with to_str("k2"), and repr uses the same printer
+    @pytest.mark.parametrize("coeffs, text", [
+        ((), "0"),
+        ((7,), "7"),
+        ((0, -1), "-x"),
+        ((Fraction(1, 2), -1, 0, Fraction(-3, 2), 1), "x^4 - 3/2*x^3 - x + 1/2"),
+        ((-2, 0, -3), "-3*x^2 - 2"),
+    ])
+    def test_highest_degree_first(self, coeffs, text):
+        assert UniPoly(coeffs).to_str() == text
+        assert repr(UniPoly(coeffs)) == f"UniPoly({text})"
+
+    def test_variable(self):
+        assert UniPoly([1, 1, 1]).to_str("k2") == "k2^2 + k2 + 1"
+
+
 class TestPolyDerivative:
     def test_quadratic(self):
         assert poly_derivative(X2_MINUS_1) == UniPoly([0, 2])

@@ -33,8 +33,9 @@ from lqnash.sweep import (
 from sweep_output import csv_rows
 
 
+TESTS_DIR = Path(__file__).parent
 # a directory this test module never creates
-MISSING_DIR = Path(__file__).parent / "no-such-directory"
+MISSING_DIR = TESTS_DIR / "no-such-directory"
 
 
 def minimal_doc(**overrides):
@@ -111,6 +112,16 @@ class TestConfig:
              "^outputs.csv and outputs.svg name one file, 'out.txt'$"),
             ({"outputs": {"csv": "out.csv", "json": os.path.join(".", "out.csv")}},
              "^outputs.csv and outputs.json name one file"),
+            # an output is a file: renaming the written rows over a directory fails
+            ({"outputs": {"csv": str(TESTS_DIR)}}, "^outputs.csv: .* is a directory$"),
+            ({"outputs": {"csv": "out.csv", "json": "."}}, "^outputs.json: '.' is a directory$"),
+            # rows print a as its double, so no two grid points may share one
+            ({"a_grid": {"min": 1.0, "max": 1.0, "count": 3}},
+             r"^a_grid points 0 and 1 are 1\.0 and 1\.0; the 3 points must strictly increase$"),
+            ({"a_grid": {"min": 2.0, "max": 2.0, "count": 2, "spacing": "log"}},
+             "a_grid points 0 and 1 are 2.0 and 2.0"),
+            ({"a_grid": {"min": 1.0, "max": 1.0000000000000002, "count": 5}},
+             "the 5 points must strictly increase"),
         ],
     )
     def test_invariant_violations(self, patch, message):
@@ -122,6 +133,7 @@ class TestConfig:
         ({"r2_values": (1.0, 1.0)}, "r2_values entries 1.0 and 1.0 are one double"),
         ({"r2_values": ()}, "r2_values must be nonempty"),
         ({"q1": 0.0}, "q1 must be > 0"),
+        ({"a_grid": AGrid(min=0.5, max=0.5, count=2)}, "a_grid points 0 and 1 are 0.5 and 0.5"),
     ])
     def test_library_built_configs_are_refused(self, patch, message):
         fields = dict(q1=0.5, r1=1.0, q2=1.0, a_grid=AGrid(min=0.5, max=2.0, count=3),
