@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
+import dataclasses
 import math
 import random
 import re
 import sys
 
-# not called here: perfbench/tracing.py still wraps these two names in this module
+# not called here: perfbench/tracing.py still wraps these names in this module
 from .exactalg import isolate_real_roots, refine_root  # noqa: F401
+from .oracle import grid_scan  # noqa: F401
 from .game import (
     GameParams,
     InvalidGameError,
@@ -29,9 +30,8 @@ from .game import (
 )
 from .groebner import EliminationError, buchberger, elimination_polynomial
 from .oracle import (
-    GRID_DEFAULT,
+    TarskiQueries,
     br_iteration,
-    grid_scan,
     resultant_elimination,
     simulate_cost,
     stationarity_system,
@@ -266,19 +266,28 @@ def _deviation(p: tuple[float, float], q: tuple[float, float]) -> float:
     return math.inf if math.isnan(dx) or math.isnan(dy) else max(dx, dy)
 
 
-def _match_pairs(scanned: list, solved: list) -> tuple[str | None, str | None]:
-    """The scanned pairs against the solved ones, one to one: of every order
-    of the solved pairs (at most 3! = 6), the one whose largest deviation is
-    smallest, which must be within VERIFY_TOL."""
-    if len(scanned) != len(solved):
-        return None, f"{len(scanned)} pairs vs {len(solved)}"
-    deviations = min(([_deviation(f, e) for f, e in zip(scanned, order)]
-                      for order in itertools.permutations(solved)), key=max)
-    worst = max(deviations)
-    if worst <= VERIFY_TOL:
-        return f"agree ({len(scanned)} pairs, max deviation {worst:.3g})", None
-    k1, k2 = scanned[deviations.index(worst)]
-    return None, f"pair ({k1:.9g}, {k2:.9g}) unmatched (deviation {worst:.3g})"
+def _check_tarski(game, solved: list) -> tuple[str | None, str | None]:
+    """The exact number of equilibria must be the number of solved pairs,
+    and each pair must have an equilibrium within VERIFY_TOL, certified in
+    an interval of k2 at most a third of the way to the next solved k2.  The
+    intervals are disjoint, so the pairs match the equilibria one to one."""
+    queries = TarskiQueries(game)
+    counted = queries.count()
+    if counted is None:
+        return "inconclusive (a stabilizing condition vanishes at a real root)", None
+    n, roots = counted
+    if n != len(solved):
+        return None, f"{n} equilibria vs {len(solved)} solved pairs"
+    for k1, k2 in solved:
+        if not (math.isfinite(k1) and math.isfinite(k2)):
+            return None, f"pair ({k1:.9g}, {k2:.9g}) is not finite"
+    for i, (k1, k2) in enumerate(solved):
+        gap = min((abs(k2 - other) for j, (_, other) in enumerate(solved) if j != i), default=math.inf)
+        detail = queries.locate(k1, k2, min(VERIFY_TOL, gap / 3), VERIFY_TOL)
+        if detail:
+            return None, f"pair ({k1:.9g}, {k2:.9g}): {detail}"
+    return (f"agree ({n} {'equilibrium' if n == 1 else 'equilibria'}, {roots} real roots; "
+            f"every pair within {VERIFY_TOL:g})"), None
 
 
 def _check_br_iteration(fnorm, solved: list, seed: int | None) -> tuple[str | None, str | None]:
@@ -313,16 +322,25 @@ def _check_resultant(report: SolveReport) -> tuple[str | None, str | None]:
 
 def _check_simulated_cost(fnorm, solved: list) -> tuple[str | None, str | None]:
     """Each solved pair's 200-step partial costs against its closed-form
-    costs, allowing the geometric tail past step 200."""
-    worst = 0.0
+    costs, allowing the geometric tail past step 200.  Both run from
+    x0 = 1, since x0 only scales them by x0^2; a cost that is not finite
+    compares nothing."""
+    fnorm = dataclasses.replace(fnorm, x0=1.0)
+    worst, not_finite = 0.0, None
     for k1, k2 in solved:
         final = simulate_cost(fnorm, k1, k2, 200)
         closed = cost(fnorm, k1, k2)
         for partial, total in ((final.partial_cost_1, closed.j1), (final.partial_cost_2, closed.j2)):
+            if not (math.isfinite(partial) and math.isfinite(total)):
+                not_finite = not_finite or (k1, k2)
+                continue
             err = abs(partial - total)
             if err > abs(total) * abs(closed.a_cl) ** 402 + 1e-9 * (1 + abs(total)):
                 return None, f"simulated cost off by {err:.3g} at pair ({k1:.9g}, {k2:.9g})"
             worst = max(worst, err)
+    if not_finite:
+        k1, k2 = not_finite
+        return f"inconclusive (a cost is not finite at pair ({k1:.9g}, {k2:.9g}))", None
     return f"agree (max error {worst:.3g})", None
 
 
@@ -333,8 +351,7 @@ def cmd_verify(args) -> int:
     # (oracle, its label, its check): a check returns (agreement text, None)
     # or (None, disagreement detail)
     checks = (
-        ("grid_scan", f"grid_scan(n={GRID_DEFAULT})",
-         lambda: _match_pairs(grid_scan(fnorm, GRID_DEFAULT), solved)),
+        ("tarski_count", "tarski_count", lambda: _check_tarski(report.game, solved)),
         ("br_iteration", "br_iteration", lambda: _check_br_iteration(fnorm, solved, args.seed)),
         ("resultant_elimination", "resultant_elimination", lambda: _check_resultant(report)),
         ("simulate_cost", "simulate_cost(T=200)", lambda: _check_simulated_cost(fnorm, solved)),

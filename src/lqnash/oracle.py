@@ -1,8 +1,10 @@
 """Brute-force verification paths: best-response iteration, residual grid
-scanning with plain Newton polish, direct resultant elimination, and trajectory
-cost simulation; and the integer stationarity system that the exact oracles
-(the resultant and the Buchberger engine) start from.  This module imports
-nothing from the solver.
+scanning with plain Newton polish, direct resultant elimination, an exact
+count and location of the equilibria by Tarski queries, and trajectory cost
+simulation; and the integer stationarity system that the exact oracles (the
+resultant, the Tarski queries and the Buchberger engine) start from.  This
+module imports nothing from the solver, and its remainder sequences are its
+own.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ _UNDERFLOW_SLACK = 2.0**-1060
 # that surface never drops a box.
 _HEADROOM = 2.0**1020
 NEWTON_MAX_ITER = 50
+# TarskiQueries.locate bisects a k2 interval at most this many times to
+# certify k1
+K1_BISECTIONS = 64
 
 
 @dataclass(frozen=True)
@@ -351,15 +356,24 @@ def resultant_elimination(norm: NormalizedGame) -> UniPoly:
     D_i; the determinant is homogeneous of degree two in each cubic, so one
     exact division by (D1 D2)^2 undoes the scaling.
     """
-    (p1, p2), (d1, d2) = scaled_stationarity_system(norm)
-    a2, a1, a0 = _k1_coefficients(p1)
-    b2, b1, b0 = _k1_coefficients(p2)
-    # the 4x4 Sylvester determinant of two quadratics in k1, in closed form:
-    # (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1)
-    c = _det2(a2, a0, b2, b0)
-    res = _det2(c, _det2(a2, a1, b2, b1), _det2(a1, a0, b1, b0), c)
+    system, (d1, d2) = scaled_stationarity_system(norm)
+    # the 4x4 Sylvester determinant of two quadratics in k1, in closed form
+    e, d, f = _eliminants(system)
+    res = _det2(e, d, f, e)
     scale = (d1 * d2) ** 2
     return UniPoly(Fraction(v, scale) for v in res)
+
+
+def _eliminants(system):
+    """E, D and F of the two integer residual cubics of `system` as
+    quadratics in k1: with A2 k1^2 + A1 k1 + A0 and B2 k1^2 + B1 k1 + B0,
+    E = A2 B0 - A0 B2, D = A2 B1 - A1 B2 and F = A1 B0 - A0 B1, each a list
+    of integer coefficients in ascending powers of k2.  Their resultant in
+    k1 is E^2 - D F, and where D != 0 a common root has D k1 + E = 0."""
+    p1, p2 = system
+    a2, a1, a0 = _k1_coefficients(p1)
+    b2, b1, b0 = _k1_coefficients(p2)
+    return _det2(a2, a0, b2, b0), _det2(a2, a1, b2, b1), _det2(a1, a0, b1, b0)
 
 
 def _k1_coefficients(p) -> list[list[int]]:
@@ -380,6 +394,203 @@ def _det2(x: list[int], y: list[int], u: list[int], v: list[int]) -> list[int]:
         for j in range(len(v)):
             out[i + j] += x[i] * v[j] - y[i] * u[j]
     return out
+
+
+class TarskiQueries:
+    """The equilibria counted and located exactly, by sign conditions at the
+    real roots of the resultant g = E^2 - D F of the integer stationarity
+    system (`_eliminants`), on integers only and with no part of the solver.
+
+    Where D != 0 at a root of g, the common root has k1 = -E/D.  It is an
+    equilibrium exactly when each gain is its player's stabilizing root: the
+    two roots of a player's quadratic have product -q/r < 0, and the
+    stabilizing one has the sign of the open-loop gain it faces.  So the
+    conditions are c1 = k1 (a - k2) > 0 and c2 = k2 (a - k1) > 0, which
+    times den(a) D^2 > 0 are the polynomials -E D (a - k2) and
+    k2 (a D + E) D in k2.  The Tarski query TaQ(c) = sum of sign c(x) over
+    the real roots x of g is the Cauchy index of g' c / g, the sign
+    variations from -inf to +inf of the signed remainder sequence of
+    (g, g' c mod g) (Sturm-Tarski; Basu, Pollack & Roy, *Algorithms in Real
+    Algebraic Geometry*, ch. 2 and 10); between two points that are not
+    roots of g it sums over the roots in between.  Each element here is a
+    positive multiple of the classical one, so every variation is the same.
+
+    Player 1's best response to k2 is the positive root k+(alpha) of
+    Q(k; alpha) = r alpha k^2 + (r + q - r alpha^2) k - q alpha, for
+    alpha = a - k2 > 0, and k+ increases with alpha: dQ/dalpha =
+    r k (k - 2 alpha) - q < 0 and dQ/dk > 0 at 0 < k+ < alpha (Q(0) < 0 <
+    Q(alpha) = r alpha), so dk+/dalpha = -(dQ/dalpha) / (dQ/dk) > 0.
+    """
+
+    def __init__(self, norm: NormalizedGame):
+        e, d, f = _eliminants(stationarity_system(norm))
+        g = _primitive(_det2(e, d, f, e))
+        self.g = g if g[-1] > 0 else [-c for c in g]
+        self.dg = [i * c for i, c in enumerate(self.g)][1:]
+        an, ad = norm.a.numerator, norm.a.denominator
+        # c1 and c2, each reduced to a positive multiple of itself mod g
+        self.conditions = [_rem(c, self.g) for c in (
+            _mul(_mul(e, d), [-an, ad]),
+            _mul([0, 1], _mul([an * x + ad * y for x, y in zip(d, e)], d)))]
+        self.roots = _remainder_sequence(self.g, self.dg)
+        self.sequences = [self._query(c) for c in self.conditions]
+        self.norm = norm
+
+    def _query(self, c: list[int]) -> list[list[int]]:
+        """The sequence whose variations give the Tarski query of c."""
+        return _remainder_sequence(self.g, _rem(_mul(self.dg, c), self.g))
+
+    def count(self) -> tuple[int, int] | None:
+        """(equilibria, distinct real roots of g), or None when c1 or c2
+        vanishes at a real root of g, where the sign conditions do not
+        decide.  The count is [TaQ(1) + TaQ(c1) + TaQ(c2) + TaQ(c1 c2)] / 4,
+        which counts each root where both conditions are positive once.
+        """
+        roots = _query_value(self.roots)
+        for c, seq in zip(self.conditions, self.sequences):
+            # a constant last element is gcd(g, g' c) = 1: c vanishes at no root of g
+            if len(seq[-1]) > 1 and _query_value(self._query(_mul(c, c))) != roots:
+                return None
+        both = self._query(_rem(_mul(*self.conditions), self.g))
+        total = roots + sum(map(_query_value, self.sequences)) + _query_value(both)
+        return total // 4, roots
+
+    def locate(self, k1: float, k2: float, half_width: float, tol: float) -> str | None:
+        """None when an equilibrium lies within `half_width` of k2 and `tol`
+        of k1, otherwise what fails; call it only once `count` has decided.
+
+        The interval of that half-width around k2 is halved until it holds
+        exactly one root of g, with g nonzero at both ends.  The sequences of
+        c1 and c2 read off the signs at that root, which must be +1.  Then
+        Q(k1 - tol; a - hi) < 0 and Q(k1 + tol; a - lo) > 0 put the root's
+        k+(a - k2) strictly within tol of k1; while they do not hold, the
+        interval is bisected with the sequence of g.
+        """
+        # points of k2 are numerators over the power of two `den`
+        x, den = k2.as_integer_ratio()
+        w, w_den = half_width.as_integer_ratio()
+        x, w, den = _common_denominator(x, den, w, w_den)
+        while True:
+            lo, hi = x - w, x + w
+            at_lo, at_hi = _signs(self.roots, lo, den), _signs(self.roots, hi, den)
+            # the variations count the roots between ends that are not roots
+            if at_lo[0] and at_hi[0]:
+                n = _variations(at_lo) - _variations(at_hi)
+                if n == 0:
+                    return f"no root of the quintic within {half_width:.3g} of k2"
+                if n == 1:
+                    break
+            x, den = 2 * x, 2 * den
+        if any(_variations(_signs(seq, lo, den)) - _variations(_signs(seq, hi, den)) != 1
+               for seq in self.sequences):
+            return "the quintic's root near k2 is not an equilibrium"
+        k, k_den = k1.as_integer_ratio()
+        t, t_den = tol.as_integer_ratio()
+        k, t, k_den = _common_denominator(k, k_den, t, t_den)
+        an, ad = self.norm.a.numerator, self.norm.a.denominator
+        for _ in range(K1_BISECTIONS):
+            # alpha = a - k2 at each end, over ad den
+            alpha_lo, alpha_hi = an * den - ad * lo, an * den - ad * hi
+            if (alpha_hi > 0 and k + t > 0
+                    and self._quadratic_sign(k - t, k_den, alpha_hi, ad * den) < 0
+                    and self._quadratic_sign(k + t, k_den, alpha_lo, ad * den) > 0):
+                return None
+            if lo == hi:
+                break
+            lo, hi, mid, den = 2 * lo, 2 * hi, lo + hi, 2 * den
+            at_mid = _signs(self.roots, mid, den)
+            if not at_mid[0]:
+                lo = hi = mid
+            elif _variations(at_lo) - _variations(at_mid) == 1:
+                hi = mid
+            else:
+                lo, at_lo = mid, at_mid
+        return f"k1 not within {tol:.3g} of the equilibrium's k1"
+
+    def _quadratic_sign(self, k: int, k_den: int, alpha: int, alpha_den: int) -> int:
+        """The sign of player 1's Q(k / k_den; alpha / alpha_den), on integers:
+        Q times den(q1) den(r1) alpha_den^2 k_den^2 > 0."""
+        q, r = self.norm.q1, self.norm.r1
+        rq, qr = r.numerator * q.denominator, q.numerator * r.denominator
+        sq = alpha_den * alpha_den
+        v = (rq * alpha * alpha_den * k * k + ((rq + qr) * sq - rq * alpha * alpha) * k * k_den
+             - qr * alpha * alpha_den * k_den * k_den)
+        return (v > 0) - (v < 0)
+
+
+def _common_denominator(x: int, x_den: int, y: int, y_den: int) -> tuple[int, int, int]:
+    """x / x_den and y / y_den as numerators over one power of two, for
+    denominators that are powers of two."""
+    den = max(x_den, y_den)
+    return x * (den // x_den), y * (den // y_den), den
+
+
+def _mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p without trailing zeros, divided by the positive gcd of its coefficients."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    content = math.gcd(*p)
+    return [c // content for c in p] if content > 1 else p
+
+
+def _rem(p: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of p mod b, primitive: each pseudo-division step
+    multiplies by |lc(b)| > 0."""
+    db, lb = len(b) - 1, b[-1]
+    scale, sign = abs(lb), (1 if lb > 0 else -1)
+    r = list(p)
+    for i in range(len(r) - 1 - db, -1, -1):
+        lead = sign * r[i + db]
+        if lead:
+            if scale != 1:
+                r = [c * scale for c in r]
+            for j, c in enumerate(b):
+                r[i + j] -= lead * c
+    return _primitive(r)
+
+
+def _remainder_sequence(g: list[int], r: list[int]) -> list[list[int]]:
+    """The signed remainder sequence g, r, -(g mod r), ..., each element a
+    positive multiple of the classical one; r may be zero."""
+    seq = [g]
+    while r:
+        seq.append(r)
+        r = [-c for c in _rem(seq[-2], r)]
+    return seq
+
+
+def _signs(seq: list[list[int]], num: int, den: int) -> list[int]:
+    """Signs of the sequence's elements at num / den (den > 0), exactly:
+    each is evaluated times den^degree, on integers."""
+    out = []
+    for p in seq:
+        acc, power = 0, 1
+        for c in reversed(p):
+            acc = acc * num + c * power
+            power *= den
+        out.append((acc > 0) - (acc < 0))
+    return out
+
+
+def _variations(signs: list[int]) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(s != t for s, t in zip(nonzero, nonzero[1:]))
+
+
+def _query_value(seq: list[list[int]]) -> int:
+    """The Tarski query the sequence gives: its variations at -inf less those at +inf."""
+    at_plus = [(p[-1] > 0) - (p[-1] < 0) for p in seq]
+    at_minus = [s if len(p) % 2 else -s for s, p in zip(at_plus, seq)]
+    return _variations(at_minus) - _variations(at_plus)
 
 
 class TrajectorySample(NamedTuple):

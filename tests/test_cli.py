@@ -366,7 +366,7 @@ class TestVerifyCommand:
             ["verify", "--a", "3.8", "--q1", "0.5", "--q2", "1", "--r1", "1", "--r2", "1"],
         )
         assert code == 0
-        assert "grid_scan" in out and "agree (3 pairs" in out
+        assert "tarski_count: agree (3 equilibria, 5 real roots; every pair within 1e-06)" in out.splitlines()
 
     def test_seeded_starts(self, capsys):
         code, out, _ = run_cli(capsys, ["--seed", "7", "verify", *ALL_ONES])

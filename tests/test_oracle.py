@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import lqnash.groebner as groebner
 import lqnash.oracle as oracle
-from lqnash.cli import VERIFY_TOL
+from lqnash.cli import VERIFY_TOL, _check_tarski, main
 from lqnash.exactalg import SturmSequence, UniPoly, sturm_count
 from lqnash.game import (
     GameParams,
@@ -23,11 +23,13 @@ from lqnash.game import (
     exact_game,
     float_game,
     normalize,
+    renormalize_equilibrium,
     residuals,
 )
 from lqnash.oracle import (
     GRID_DEFAULT,
     NEWTON_MAX_ITER,
+    TarskiQueries,
     _box_sign,
     _flagged_cells,
     _jacobian,
@@ -491,6 +493,46 @@ class TestResultantElimination:
                 assert poly_eval(res, k2) == resultant(A, B)
 
 
+SMALL_RATIONAL_GAMES = st.builds(
+    GameParams, a=st.fractions(min_value=-20, max_value=20, max_denominator=100).filter(bool),
+    q1=rationals, q2=rationals, r1=rationals, r2=rationals, b1=input_gains, b2=input_gains)
+TARSKI_GAMES = {"small_rational": SMALL_RATIONAL_GAMES, "fold": fold_games(), "pitchfork": pitchfork_games()}
+
+
+class TestTarskiQueries:
+    @pytest.mark.parametrize("kind", TARSKI_GAMES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_the_exact_count_is_the_solvers(self, kind, data):
+        # fold and pitchfork quintics have a double or a triple root, where
+        # each condition's vanishing is decided by the query of its square
+        report = solve(data.draw(TARSKI_GAMES[kind]))
+        assert TarskiQueries(report.game).count() == (report.n_nash, report.real_roots_total)
+        fnorm = float_game(report.game)
+        solved = [renormalize_equilibrium(fnorm, (e.k1, e.k2)) for e in report.equilibria]
+        assert _check_tarski(report.game, solved)[1] is None
+
+    def test_a_wide_interval_is_halved_until_it_holds_one_root(self):
+        # (k - 2, k + 2) holds all three real roots of the all-ones quintic
+        queries = TarskiQueries(normalize(ALL_ONES))
+        assert queries.locate(SYMMETRIC_K, SYMMETRIC_K, 2.0, VERIFY_TOL) is None
+
+    def test_halving_past_every_root_finds_none(self):
+        # midway between the roots 0.355... and 1.889...: the half-width 1
+        # holds both, and 1/2 neither
+        queries = TarskiQueries(normalize(ALL_ONES))
+        assert (queries.locate(SYMMETRIC_K, 1.1223221429525197, 1.0, VERIFY_TOL)
+                == "no root of the quintic within 1 of k2")
+
+    def test_verify_passes_next_to_the_locus(self, capsys):
+        # the grid scan failed 120 of these games; on the locus itself the
+        # roots are rational, where bisection can land on a root exactly
+        for params in near_locus_games() + near_locus_bases():
+            argv = [f"--{name}={getattr(params, name)}" for name in ("a", "q1", "q2", "r1", "r2")]
+            assert main(["verify", *argv]) == 0, argv
+        capsys.readouterr()
+
+
 def _terms(p, k1, k2):
     """The values of p's monomials at (k1, k2), exactly for rational inputs."""
     return [c * k1**i * k2**j for (i, j), c in p.items()]
@@ -564,6 +606,11 @@ def test_oracles_import_nothing_from_the_solver(module):
             imported.add(base)
             imported.update(f"{base}.{alias.name}" for alias in node.names)
     assert not any(name == "lqnash.solver" or name.startswith("lqnash.solver.") for name in imported)
+    if module is oracle:
+        # TarskiQueries builds its own remainder sequences: a fault in the
+        # solver's chain must not also hide in the oracle that counts
+        assert {name for name in imported if name.startswith("lqnash.exactalg")} == {
+            "lqnash.exactalg", "lqnash.exactalg.UniPoly"}
 
 
 class TestSimulateCost:

@@ -1,6 +1,8 @@
 """Every way `verify` and `groebner-check` report a wrong answer: each oracle
-is replaced in `lqnash.cli` by one that errs, and the command must exit 4
-with the oracle's `DISAGREE` (or `FAIL`) line and a verdict naming it.
+is replaced in `lqnash.cli` by one that errs, or `solve` by one whose pairs
+the exact count must refuse, and the command must exit 4 with the oracle's
+`DISAGREE` (or `FAIL`) line and a verdict naming it.  An oracle that can
+compare nothing prints `inconclusive` and does not fail the verdict.
 
 The all-ones game has one equilibrium, k1 = k2 = 0.355415727 (to nine
 digits), and the game at a = 3.8 has three.
@@ -15,6 +17,7 @@ import lqnash.cli as cli
 from lqnash.cli import main
 from lqnash.exactalg import UniPoly
 from lqnash.groebner import EliminationError
+from lqnash.oracle import TarskiQueries
 from lqnash.solver import build_g
 
 ALL_ONES = "--a 1 --q1 1 --q2 1 --r1 1 --r2 1".split()
@@ -42,41 +45,69 @@ def assert_disagreement(capsys, argv, label, detail, oracle=None):
     return out
 
 
-class TestGridScan:
-    def test_an_extra_pair(self, capsys, monkeypatch):
-        wrap(monkeypatch, "grid_scan", lambda pairs: pairs + [(0.0, 0.0)])
-        assert_disagreement(capsys, ALL_ONES, "grid_scan(n=512)", "2 pairs vs 1", "grid_scan")
+def wrap_solved(monkeypatch, change):
+    """`solve` in `lqnash.cli` returning its report with `change` applied to
+    the tuple of equilibria."""
+    wrap(monkeypatch, "solve",
+         lambda report: dataclasses.replace(report, equilibria=change(report.equilibria)))
 
-    def test_a_missing_pair(self, capsys, monkeypatch):
-        wrap(monkeypatch, "grid_scan", lambda pairs: pairs[1:])
-        assert_disagreement(capsys, THREE_EQUILIBRIA, "grid_scan(n=512)", "2 pairs vs 3", "grid_scan")
 
-    def test_a_pair_shifted_past_the_tolerance(self, capsys, monkeypatch):
-        wrap(monkeypatch, "grid_scan", lambda pairs: [(k1 + 1e-5, k2) for k1, k2 in pairs])
-        assert_disagreement(capsys, ALL_ONES, "grid_scan(n=512)",
-                            "pair (0.355425727, 0.355415727) unmatched (deviation 1e-05)",
-                            "grid_scan")
+def shifted(**fields):
+    """A change of the equilibria adding to each of their named fields."""
+    return lambda eqs: tuple(dataclasses.replace(e, **{name: getattr(e, name) + delta
+                                                       for name, delta in fields.items()})
+                             for e in eqs)
 
-    def test_a_nan_coordinate_never_matches(self, capsys, monkeypatch):
-        wrap(monkeypatch, "grid_scan", lambda pairs: [(k1, math.nan) for k1, _ in pairs])
-        assert_disagreement(capsys, ALL_ONES, "grid_scan(n=512)",
-                            "pair (0.355415727, nan) unmatched (deviation inf)", "grid_scan")
 
-    @pytest.mark.parametrize("scanned", [
-        [(0.7e-6, 0.0), (-0.2e-6, 0.0)],
-        [(-0.2e-6, 0.0), (0.7e-6, 0.0)],
-    ])
-    def test_pairs_are_matched_one_to_one_in_any_order(self, scanned):
-        # matching the first scanned pair to its nearest solved pair, (1.5e-6, 0),
-        # would leave (-2e-7, 0) 1.7e-6 from the other
-        solved = [(0.0, 0.0), (1.5e-6, 0.0)]
-        assert cli._match_pairs(scanned, solved) == ("agree (2 pairs, max deviation 8e-07)", None)
+class VanishingCondition(TarskiQueries):
+    """The queries with c1 replaced by 0, which vanishes at every root of g."""
 
-    def test_the_worst_pair_of_the_best_assignment_is_named(self):
-        scanned = [(0.0, 0.0), (1.0, 0.0), (2.0 + 3e-6, 0.0)]
-        solved = [(2.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
-        assert cli._match_pairs(scanned, solved) == (
-            None, "pair (2.000003, 0) unmatched (deviation 3e-06)")
+    def __init__(self, norm):
+        super().__init__(norm)
+        self.conditions[0] = []
+        self.sequences[0] = self._query([])
+
+
+class TestTarskiCount:
+    def test_a_dropped_solved_pair(self, capsys, monkeypatch):
+        wrap_solved(monkeypatch, lambda eqs: eqs[1:])
+        assert_disagreement(capsys, THREE_EQUILIBRIA, "tarski_count", "3 equilibria vs 2 solved pairs")
+
+    def test_one_pair_given_twice(self, capsys, monkeypatch):
+        # each pair's interval reaches at most a third of the way to the
+        # next solved k2, so two copies of one pair cannot share its root
+        wrap_solved(monkeypatch, lambda eqs: (eqs[0], eqs[0], eqs[2]))
+        assert_disagreement(capsys, THREE_EQUILIBRIA, "tarski_count",
+                            "pair (3.19282257, 0.331335573): no root of the quintic within 0 of k2")
+
+    @pytest.mark.parametrize("delta, k1", [(1e-5, "0.355425727"), (-1e-5, "0.355405727")])
+    def test_a_k1_shifted_past_the_tolerance(self, capsys, monkeypatch, delta, k1):
+        # one sign of player 1's quadratic bounds k1 from below, the other from above
+        wrap_solved(monkeypatch, shifted(k1=delta))
+        assert_disagreement(capsys, ALL_ONES, "tarski_count",
+                            f"pair ({k1}, 0.355415727): k1 not within 1e-06 of the equilibrium's k1")
+
+    def test_a_k2_shifted_past_the_tolerance(self, capsys, monkeypatch):
+        wrap_solved(monkeypatch, shifted(k2=1e-5))
+        assert_disagreement(capsys, ALL_ONES, "tarski_count",
+                            "pair (0.355415727, 0.355425727): no root of the quintic within 1e-06 of k2")
+
+    def test_a_root_of_the_quintic_that_is_no_equilibrium(self, capsys, monkeypatch):
+        # the all-ones quintic's real root above a = 1, to within an ulp
+        wrap_solved(monkeypatch, lambda eqs: (dataclasses.replace(eqs[0], k2=1.8892285591291944),))
+        assert_disagreement(capsys, ALL_ONES, "tarski_count",
+                            "pair (0.355415727, 1.88922856): the quintic's root near k2 is not an equilibrium")
+
+    def test_a_nan_coordinate(self, capsys, monkeypatch):
+        wrap_solved(monkeypatch, lambda eqs: (dataclasses.replace(eqs[0], k2=math.nan),))
+        assert_disagreement(capsys, ALL_ONES, "tarski_count", "pair (0.355415727, nan) is not finite")
+
+    def test_a_condition_vanishing_at_a_root_is_inconclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "TarskiQueries", VanishingCondition)
+        code, out, _ = run(capsys, ["verify", *ALL_ONES])
+        assert code == 0
+        assert "tarski_count: inconclusive (a stabilizing condition vanishes at a real root)" in out
+        assert out[-1] == "VERDICT: PASS"
 
 
 class TestBestResponse:
@@ -102,6 +133,28 @@ class TestSimulatedCost:
     def test_a_wrong_partial_cost(self, capsys, monkeypatch, field):
         wrap(monkeypatch, "simulate_cost",
              lambda sample: sample._replace(**{field: getattr(sample, field) + 1e-3}))
+        assert_disagreement(capsys, ALL_ONES, "simulate_cost(T=200)",
+                            f"simulated cost off by 0.001 at pair {PAIR}", "simulate_cost")
+
+    def test_costs_past_the_double_range_are_compared_from_x0_1(self, capsys):
+        # at x0 = 1e160 both costs are inf: compared there, they would agree
+        # with no error while comparing nothing
+        code, out, _ = run(capsys, ["verify", *ALL_ONES, "--x0", "1e160"])
+        assert code == 0
+        assert "simulate_cost(T=200): agree (max error 2.22e-16)" in out
+
+    @pytest.mark.parametrize("field", ["j1", "j2"])
+    def test_a_cost_that_is_not_finite_is_inconclusive(self, capsys, monkeypatch, field):
+        wrap(monkeypatch, "cost", lambda closed: dataclasses.replace(closed, **{field: math.inf}))
+        code, out, _ = run(capsys, ["verify", *ALL_ONES])
+        assert code == 0
+        assert f"simulate_cost(T=200): inconclusive (a cost is not finite at pair {PAIR})" in out
+        assert out[-1] == "VERDICT: PASS"
+
+    def test_a_cost_that_is_not_finite_hides_no_wrong_one(self, capsys, monkeypatch):
+        wrap(monkeypatch, "cost", lambda closed: dataclasses.replace(closed, j1=math.inf))
+        wrap(monkeypatch, "simulate_cost",
+             lambda sample: sample._replace(partial_cost_2=sample.partial_cost_2 + 1e-3))
         assert_disagreement(capsys, ALL_ONES, "simulate_cost(T=200)",
                             f"simulated cost off by 0.001 at pair {PAIR}", "simulate_cost")
 
