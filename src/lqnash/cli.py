@@ -278,10 +278,9 @@ def _check_tarski(game, solved: list) -> tuple[str | None, str | None]:
     n, roots = counted
     if n != len(solved):
         return None, f"{n} equilibria vs {len(solved)} solved pairs"
-    for k1, k2 in solved:
+    for i, (k1, k2) in enumerate(solved):
         if not (math.isfinite(k1) and math.isfinite(k2)):
             return None, f"pair ({k1:.9g}, {k2:.9g}) is not finite"
-    for i, (k1, k2) in enumerate(solved):
         gap = min((abs(k2 - other) for j, (_, other) in enumerate(solved) if j != i), default=math.inf)
         detail = queries.locate(k1, k2, min(VERIFY_TOL, gap / 3), VERIFY_TOL)
         if detail:
