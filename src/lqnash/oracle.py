@@ -24,17 +24,6 @@ from .game import (
 )
 
 GRID_DEFAULT = 512
-# _flagged_cells splits a box of cells until neither side is longer than
-# this, then reads the flags of its cells off the residuals at its nodes.
-GRID_LEAF = 3
-# _box_sign's allowance for rounding: 16u relative (u = 2^-53) to the terms'
-# magnitude, plus an absolute floor, scaled per game, for underflow.
-_RELATIVE_SLACK = 2.0**-49
-_UNDERFLOW_SLACK = 2.0**-1060
-# A surface is bounded only while the magnitude `big` of _underflow_floor is
-# at most this, so that no value four times `big` can overflow; otherwise
-# that surface never drops a box.
-_HEADROOM = 2.0**1020
 NEWTON_MAX_ITER = 50
 # TarskiQueries.locate bisects a k2 interval at most this many times to
 # certify k1
@@ -151,128 +140,22 @@ def grid_scan(fnorm: NormalizedGame, n: int = GRID_DEFAULT) -> list[tuple[float,
 def _flagged_cells(fnorm: NormalizedGame, nodes: list[float]) -> list[tuple[int, int]]:
     """Row-major (i, j) of the cells of the node grid nodes x nodes (k1 down
     the rows, k2 across the columns) where both residual surfaces, evaluated
-    as `residuals` evaluates them, straddle zero: their four corners are not
-    all > 0 or all < 0.
+    by `residuals` at every node, straddle zero: their four corners are not
+    all > 0 or all < 0.  A zero or NaN corner straddles."""
 
-    Descends from the whole grid by halving the longer side of a box of
-    cells.  A box is dropped when `_box_sign` proves that one surface has
-    the same strict sign at all of its nodes, so that none of its cells can
-    be flagged; boxes of at most GRID_LEAF cells a side are decided node by
-    node, surface 2 only where surface 1 straddles.  A surface whose bounds
-    could come near overflow never drops a box.  The flags are those of
-    evaluating both surfaces at every node, bit for bit.
-    """
-    a, q1, q2, r1, r2 = fnorm.a, fnorm.q1, fnorm.q2, fnorm.r1, fnorm.r2
-    s1, s2 = r1 + q1, r2 + q2
-    n = len(nodes) - 1
-    betas = [a - k for k in nodes]
-    floor1 = _underflow_floor(a, r1, q1, s1, nodes[n])
-    floor2 = _underflow_floor(a, r2, q2, s2, nodes[n])
+    def edges(signs: list[int]) -> list[int]:
+        # the sign both ends of each cell edge along a row share, or 0
+        return [s if s == t else 0 for s, t in zip(signs, signs[1:])]
+
     flagged = []
-    boxes = [(0, n, 0, n)]
-    while boxes:
-        i0, i1, j0, j1 = boxes.pop()
-        if floor1 is not None and _box_sign(r1, q1, s1, floor1, nodes[i0], nodes[i1], betas[j1], betas[j0]):
-            continue
-        if floor2 is not None and _box_sign(r2, q2, s2, floor2, nodes[j0], nodes[j1], betas[i1], betas[i0]):
-            continue
-        if i1 - i0 > GRID_LEAF or j1 - j0 > GRID_LEAF:
-            if i1 - i0 >= j1 - j0:
-                mid = (i0 + i1) // 2
-                boxes += ((i0, mid, j0, j1), (mid, i1, j0, j1))
-            else:
-                mid = (j0 + j1) // 2
-                boxes += ((i0, i1, j0, mid), (i0, i1, mid, j1))
-            continue
-        # rho1 has k1 = nodes[i] and beta1 = betas[j]: sign1[j][i]
-        sign1 = _node_signs(nodes[i0:i1 + 1], betas[j0:j1 + 1], r1, q1, s1)
-        sign2 = None
-        for i in range(i1 - i0):
-            for j in range(j1 - j0):
-                if _same_strict_sign(sign1[j], sign1[j + 1], i):
-                    continue
-                if sign2 is None:
-                    # rho2 has beta2 = betas[i] and k2 = nodes[j]: sign2[i][j]
-                    sign2 = _node_signs(nodes[j0:j1 + 1], betas[i0:i1 + 1], r2, q2, s2)
-                if not _same_strict_sign(sign2[i], sign2[i + 1], j):
-                    flagged.append((i0 + i, j0 + j))
-    flagged.sort()
+    for i, k1 in enumerate(nodes):
+        rho = [residuals(fnorm, k1, k2) for k2 in nodes]
+        row = (edges([(v > 0) - (v < 0) for v, _ in rho]), edges([(v > 0) - (v < 0) for _, v in rho]))
+        if i:
+            flagged += [(i - 1, j) for j, (u1, u2, v1, v2) in enumerate(zip(*above, *row))
+                        if not (u1 and u1 == v1) and not (u2 and u2 == v2)]
+        above = row
     return flagged
-
-
-def _node_signs(ks: list[float], bs: list[float], r: float, q: float, s: float) -> list[list[int]]:
-    """Signs (+1, -1, or 0 for zero and NaN) of one residual with s = r + q,
-    (b r) k k + (s - b b r) k - b q evaluated and rounded as `residuals`
-    does, one row per beta b in bs, one column per k in ks."""
-    out = []
-    for b in bs:
-        b_r, s_b, b_q = b * r, s - b * b * r, b * q
-        out.append([(v > 0) - (v < 0) for v in [b_r * k * k + s_b * k - b_q for k in ks]])
-    return out
-
-
-def _same_strict_sign(row: list[int], next_row: list[int], m: int) -> bool:
-    """Whether the cell with corners row[m:m + 2] and next_row[m:m + 2] has
-    all four corners > 0 or all < 0."""
-    c = row[m]
-    return c != 0 and c == row[m + 1] == next_row[m] == next_row[m + 1]
-
-
-def _underflow_floor(a: float, r: float, q: float, s: float, top: float) -> float | None:
-    """The absolute allowance `floor` of `_box_sign` for one residual surface
-    of the grid whose last node is `top`, or None when that surface's values
-    or bounds could overflow.
-
-    With kmax = max(1, a, top), every value that `residuals` or `_box_sign`
-    computes on this grid is at most 4 big in size (big below), so none
-    overflows while big <= _HEADROOM.  A product that underflows errs by up
-    to 2^-1075 absolutely, and later factors scale that by at most
-    2 kmax^2 max(1, r); the twenty or so such errors in one decision stay
-    below 2^-1069 kmax^2 max(1, r), far under the floor returned.
-    """
-    kmax = max(1.0, a, top)
-    big = r * a * kmax * kmax + s * kmax + r * a * a * kmax + q * a + a * kmax
-    if not big <= _HEADROOM:
-        return None
-    return _UNDERFLOW_SLACK * (kmax * kmax * max(1.0, r))
-
-
-def _box_sign(r: float, q: float, s: float, floor: float, kl: float, kh: float, bl: float, bh: float) -> int:
-    """+1 (-1) when the float residual r b k^2 + (s - b^2 r) k - b q, as
-    `residuals` evaluates it, is > 0 (< 0) at every node of a box; 0 when
-    that is not proved.
-
-    The box's nodes have k in [kl, kh] and b in [bl, bh], where b =
-    fl(a - k') is the beta of the other gain k' and s = fl(r + q), with
-    kl >= 0 and r, q > 0.  Read the residual as exact arithmetic on these
-    doubles: rho = r b k (k - b) + s k - q b.  When bl >= 0, r b k lies in
-    [r bl kl, r bh kh], a range of nonnegative numbers, and k - b in
-    [kl - bh, kh - bl], so interval products and sums of corner values give
-    L <= rho <= H at every node.  At every node the terms of
-    r b k^2 + s k - r b^2 k - q b sum in size to at most
-    M = r bh kh (kh + bh) + s kh + q bh, and so do the terms of L and of H.
-    `residuals` rounds each of its terms at most six times, and so does the
-    computation of L, H and M here; each is therefore within gamma_6 M
-    (about 6u M, u = 2^-53) of its exact value.  Hence L > 16 u M proves
-    that every node's float residual is > 0, and H < -16 u M that it is
-    < 0.  `floor` (see `_underflow_floor`) adds the absolute error of
-    products that underflow.  On the grid of `grid_scan` only the last node
-    can exceed a, by a rounding; a box with bl < 0 is never decided.
-    """
-    if not bl >= 0.0:
-        return 0
-    p_lo = bl * r * kl
-    p_hi = bh * r * kh
-    d_lo = kl - bh
-    d_hi = kh - bl
-    lo = (p_hi * d_lo if d_lo < 0.0 else p_lo * d_lo) + s * kl - bh * q
-    hi = (p_hi * d_hi if d_hi > 0.0 else p_lo * d_hi) + s * kh - bl * q
-    allow = _RELATIVE_SLACK * (p_hi * (kh + bh) + s * kh + bh * q) + floor
-    if lo > allow:
-        return 1
-    if hi < -allow:
-        return -1
-    return 0
 
 
 def _residual_norm(fnorm: NormalizedGame, k1: float, k2: float) -> float:

@@ -4,10 +4,8 @@ import dataclasses
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from lqnash.exactalg import RationalLike, SturmSequence, UniPoly
-from lqnash.game import GameParams, NormalizedGame, best_gain, closed_loop, float_game, residuals
+from lqnash.game import GameParams, NormalizedGame, best_gain, closed_loop, float_game
 from lqnash.groebner import (
     Monomial,
     monomial_div,
@@ -15,7 +13,7 @@ from lqnash.groebner import (
     monomial_lcm,
     monomial_mul,
 )
-from lqnash.oracle import BrIterationResult, TrajectorySample, _dedup, _newton_polish
+from lqnash.oracle import BrIterationResult, TrajectorySample
 from lqnash.solver import fold_game, pitchfork_game
 
 
@@ -335,45 +333,9 @@ def _autoreduce(basis: list[dict]) -> list[dict]:
     return reduced
 
 
-# The float oracles as lqnash ran them before their fast paths: the residual
-# surfaces as two whole (n + 1) x (n + 1) numpy arrays; and best-response
-# iteration, restated with one `br(i, k_other)` per player, whose iterates
-# and sign-change certificate the library's iteration must reproduce bit for
-# bit.
-
-
-def straddles_zero(R):
-    """Cells of the node grid R whose four corners are not all > 0 or all < 0."""
-    pos, neg = R > 0, R < 0
-    pos = pos[:-1] & pos[1:]
-    neg = neg[:-1] & neg[1:]
-    return ~((pos[:, :-1] & pos[:, 1:]) | (neg[:, :-1] & neg[:, 1:]))
-
-
-def flagged_cells(fnorm: NormalizedGame, nodes) -> list[tuple[int, int]]:
-    xs = np.asarray(nodes, dtype=float)
-    R1, R2 = residuals(fnorm, xs[:, None], xs[None, :])
-    return [(i, j) for i, j in np.argwhere(straddles_zero(R1) & straddles_zero(R2)).tolist()]
-
-
-def grid_scan(norm: NormalizedGame, n: int) -> list[tuple[float, float]]:
-    fnorm = float_game(norm)
-    a = fnorm.a
-    xs = a * np.arange(0, n + 1) / n
-    candidates = []
-    for i, j in flagged_cells(fnorm, xs):
-        c1 = 0.5 * (xs[i] + xs[i + 1])
-        c2 = 0.5 * (xs[j] + xs[j + 1])
-        polished = _newton_polish(fnorm, float(c1), float(c2))
-        if polished is None:
-            continue
-        k1, k2 = polished
-        if not (0.0 < k1 < a and 0.0 < k2 < a):
-            continue
-        if abs(closed_loop(a, k1, k2)) >= 1.0:
-            continue
-        candidates.append((k1, k2))
-    return _dedup(fnorm, candidates)
+# Best-response iteration as lqnash once ran it, restated with one
+# `br(i, k_other)` per player, whose iterates and sign-change certificate the
+# library's iteration must reproduce bit for bit.
 
 
 def br_iteration(norm: NormalizedGame, k_start: float, max_iter: int, tol: float) -> BrIterationResult:

@@ -18,10 +18,11 @@ from lqnash.game import (
     GameParams,
     best_gain,
     cost,
+    float_game,
     normalize,
     renormalize_equilibrium,
 )
-from lqnash.oracle import grid_scan, resultant_elimination, simulate_cost
+from lqnash.oracle import TarskiQueries, resultant_elimination, simulate_cost
 from lqnash.solver import (
     build_g,
     classify_discriminant,
@@ -180,11 +181,13 @@ def test_criterion_5_oracle_equivalence():
         params = GameParams(a=a,
                             q1=10 ** rng.uniform(-2, 2), q2=10 ** rng.uniform(-2, 2),
                             r1=10 ** rng.uniform(-2, 2), r2=10 ** rng.uniform(-2, 2))
-        scanned = grid_scan(normalize(params), 512)
-        expected = sorted((e.k1, e.k2) for e in solve(params).equilibria)
-        assert len(scanned) == len(expected)
-        for got, want in zip(sorted(scanned), expected):
-            assert abs(got[0] - want[0]) < 1e-6 and abs(got[1] - want[1]) < 1e-6
+        report = solve(params)
+        # the exact count and location that `lqnash verify` runs
+        assert TarskiQueries(report.game).count() == (report.n_nash, report.real_roots_total), params
+        fnorm = float_game(report.game)
+        solved = [renormalize_equilibrium(fnorm, (e.k1, e.k2)) for e in report.equilibria]
+        text, detail = cli._check_tarski(report.game, solved)
+        assert detail is None and text.startswith("agree"), (params, text, detail)
 
     for _ in range(20):
         params = _random_rational_game(rng)
@@ -195,7 +198,7 @@ def test_criterion_5_oracle_equivalence():
         a = Fraction(norm.a)
         assert (sturm_count(SturmSequence(shared), Fraction(0), a)
                 == sturm_count(SturmSequence(g2), Fraction(0), a))
-    print("\nPASS criterion 5: grid scan equals solve on 200 games; "
+    print("\nPASS criterion 5: the exact Tarski count and location equal solve on 200 games; "
           "resultant contains every quintic root on 20 exact games")
 
 
