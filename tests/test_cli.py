@@ -97,10 +97,17 @@ class TestSolveCommand:
         assert doc["delta"]["exact"] == "-5056"
         assert doc["theorem_flags"]["existence"] is True
 
-    def test_json_round_trips_byte_identical(self, capsys):
-        code, out, _ = run_cli(capsys, ["solve", *ALL_ONES])
+    @pytest.mark.parametrize("flags, params", [
+        (ALL_ONES, GameParams(a=1, q1=1, q2=1, r1=1, r2=1)),
+        # b1 = 3 folds r1 / 9, which no double holds; int inputs are read
+        # exactly, so the printed discriminant is the library's
+        (ALL_ONES + ["--b1", "3"], GameParams(a=1, q1=1, q2=1, r1=1, r2=1, b1=3)),
+    ], ids=["all_ones", "b1_3"])
+    def test_json_round_trips_byte_identical(self, capsys, flags, params):
+        code, out, _ = run_cli(capsys, ["solve", *flags])
         assert code == 0
         assert canonical_dumps(json.loads(out)) == out
+        assert json.loads(out)["delta"]["exact"] == str(solver.solve(params).delta)
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_prints_exact_numbers_of_any_length(self, capsys, fmt):
@@ -360,11 +367,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "VERDICT: PASS" in out
 
-    def test_three_equilibria_point(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            ["verify", "--a", "3.8", "--q1", "0.5", "--q2", "1", "--r1", "1", "--r2", "1"],
-        )
+    @pytest.mark.parametrize("game", [
+        "--a 3.8 --q1 0.5 --q2 1 --r1 1 --r2 1",
+        # a pitchfork game with a multiplied by 1 + 2^-32, whose three
+        # equilibria lie so close that the grid scan took them for one
+        "--a 12884901891/4294967296 --q1 16/9 --q2 16/9 --r1 1 --r2 1",
+    ], ids=["a_3.8", "near_pitchfork"])
+    def test_three_equilibria_point(self, capsys, game):
+        code, out, _ = run_cli(capsys, ["verify", *game.split()])
         assert code == 0
         assert "tarski_count: agree (3 equilibria, 5 real roots; every pair within 1e-06)" in out.splitlines()
 
