@@ -65,16 +65,13 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 
-_GAME_FLAGS = ("a", "q1", "q2", "r1", "r2")
-_OPT_FLAGS = ("b1", "b2", "x0")
-
-
 def _add_game_flags(sp: argparse.ArgumentParser) -> None:
-    for name in _GAME_FLAGS:
-        sp.add_argument(f"--{name}", required=True)
-    sp.add_argument("--b1", default="1")
-    sp.add_argument("--b2", default="1")
-    sp.add_argument("--x0", default="1")
+    """One flag per `GameParams` field, required unless the field has a default."""
+    for field in dataclasses.fields(GameParams):
+        if field.default is dataclasses.MISSING:
+            sp.add_argument(f"--{field.name}", required=True)
+        else:
+            sp.add_argument(f"--{field.name}", default=str(field.default))
 
 
 # a value token that starts like a negative number: -1/2, -1e3, -.5
@@ -88,7 +85,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     plain integer or decimal, so `-1/2` or `-1e3` would leave the flag
     without its value.
     """
-    flags = {f"--{name}" for name in _GAME_FLAGS + _OPT_FLAGS}
+    flags = {f"--{field.name}" for field in dataclasses.fields(GameParams)}
     out: list[str] = []
     for token in argv:
         if out and out[-1] in flags and _NEGATIVE_VALUE.match(token):
@@ -100,13 +97,13 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 def _game_from_args(args) -> GameParams:
     """The command's validated game; only `solve` accepts the trivial game a = 0."""
+    names = [field.name for field in dataclasses.fields(GameParams)]
     try:
-        params = GameParams(**{name: parse_rational(getattr(args, name))
-                               for name in _GAME_FLAGS + _OPT_FLAGS})
+        params = GameParams(**{name: parse_rational(getattr(args, name)) for name in names})
     except ValueError as exc:
         raise InputError(f"invalid parameters: {exc}") from exc
     # documents print every parameter as a double
-    for name in _GAME_FLAGS + _OPT_FLAGS:
+    for name in names:
         try:
             float(getattr(params, name))
         except OverflowError:
@@ -146,20 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _equilibrium_doc(e) -> dict:
-    return {
-        "k1": e.k1,
-        "k2": e.k2,
-        "a_cl": e.a_cl,
-        "j1": e.j1,
-        "j2": e.j2,
-        "residual_norm": e.residual_norm,
-        "root_multiplicity": e.root_multiplicity,
-    }
-
-
 def _params_doc(params: GameParams) -> dict:
-    return {name: float(getattr(params, name)) for name in _GAME_FLAGS + _OPT_FLAGS}
+    return {field.name: float(getattr(params, field.name)) for field in dataclasses.fields(GameParams)}
 
 
 @contextlib.contextmanager
@@ -197,7 +182,7 @@ def solve_document(params: GameParams, report: SolveReport) -> dict:
         "roots_below_zero": report.roots_below_zero,
         "roots_above_a": report.roots_above_a,
         "n_nash": report.n_nash,
-        "equilibria": [_equilibrium_doc(e) for e in report.equilibria],
+        "equilibria": [dataclasses.asdict(e) for e in report.equilibria],
         # a SolveReport cannot break the discriminant law, so each flag is true
         "theorem_flags": {"existence": True, "at_most_three": True, "delta_consistency": True},
     }
@@ -213,7 +198,7 @@ def trivial_document(params: GameParams) -> dict:
         "params": _params_doc(params),
         "trivial": True,
         "n_nash": 1,
-        "equilibria": [_equilibrium_doc(zero)],
+        "equilibria": [dataclasses.asdict(zero)],
     }
 
 
@@ -266,18 +251,21 @@ def _deviation(p: tuple[float, float], q: tuple[float, float]) -> float:
     return math.inf if math.isnan(dx) or math.isnan(dy) else max(dx, dy)
 
 
-def _check_tarski(game, solved: list) -> tuple[str | None, str | None]:
-    """The exact number of equilibria must be the number of solved pairs,
-    and each pair must have an equilibrium within VERIFY_TOL, certified in
-    an interval of k2 at most a third of the way to the next solved k2.  The
+def _check_tarski(report: SolveReport, solved: list) -> tuple[str | None, str | None]:
+    """The exact numbers of equilibria and of distinct real roots must be
+    the number of solved pairs and the report's `real_roots_total`, and each
+    pair must have an equilibrium within VERIFY_TOL, certified in an
+    interval of k2 at most a third of the way to the next solved k2.  The
     intervals are disjoint, so the pairs match the equilibria one to one."""
-    queries = TarskiQueries(game)
+    queries = TarskiQueries(report.game)
     counted = queries.count()
     if counted is None:
         return "inconclusive (a stabilizing condition vanishes at a real root)", None
     n, roots = counted
     if n != len(solved):
         return None, f"{n} equilibria vs {len(solved)} solved pairs"
+    if roots != report.real_roots_total:
+        return None, f"{roots} real roots vs {report.real_roots_total} in the solve report"
     for i, (k1, k2) in enumerate(solved):
         if not (math.isfinite(k1) and math.isfinite(k2)):
             return None, f"pair ({k1:.9g}, {k2:.9g}) is not finite"
@@ -350,7 +338,7 @@ def cmd_verify(args) -> int:
     # (oracle, its label, its check): a check returns (agreement text, None)
     # or (None, disagreement detail)
     checks = (
-        ("tarski_count", "tarski_count", lambda: _check_tarski(report.game, solved)),
+        ("tarski_count", "tarski_count", lambda: _check_tarski(report, solved)),
         ("br_iteration", "br_iteration", lambda: _check_br_iteration(fnorm, solved, args.seed)),
         ("resultant_elimination", "resultant_elimination", lambda: _check_resultant(report)),
         ("simulate_cost", "simulate_cost(T=200)", lambda: _check_simulated_cost(fnorm, solved)),

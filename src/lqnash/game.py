@@ -10,7 +10,7 @@ the parameters came in; `float_game` is its one float image.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from numbers import Real
 
@@ -25,9 +25,6 @@ class TrivialGame(Exception):
     def __init__(self):
         super().__init__("a = 0: the unique Nash equilibrium is (0, 0)")
         self.equilibrium = (0.0, 0.0)
-
-
-_FIELDS = ("a", "q1", "q2", "r1", "r2", "b1", "b2", "x0")
 
 
 @dataclass(frozen=True)
@@ -59,6 +56,9 @@ class GameParams:
         for name in ("b1", "b2"):
             if getattr(self, name) == 0:
                 raise InvalidGameError(f"{name} must be nonzero")
+
+
+_FIELDS = tuple(field.name for field in fields(GameParams))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -200,7 +200,8 @@ def solve(params: GameParams) -> SolveReport:
         rho1, rho2 = residuals(fnorm, k1f, k2f)
         residual_norm = max(abs(rho1), abs(rho2))
         a_cl = fnorm.a - k1f - k2f
-        if residual_norm > TOL_VERIFY:
+        # written so that a NaN residual fails it
+        if not residual_norm <= TOL_VERIFY:
             raise ConsistencyError(
                 f"candidate root {k2f} failed residual verification ({residual_norm:.3e})"
             )

@@ -90,6 +90,11 @@ class SweepConfig:
     def __post_init__(self) -> None:
         _validate(self)
 
+    def game(self, a: float, r2: Real) -> GameParams:
+        """The game at grid point (a, r2)."""
+        return GameParams(a=a, q1=self.q1, q2=self.q2, r1=self.r1, r2=r2,
+                          b1=self.b1, b2=self.b2, x0=self.x0)
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -227,8 +232,7 @@ def _validate(config: SweepConfig) -> None:
     seen: dict[float, Real] = {}
     for r2 in config.r2_values:
         try:
-            float_game(normalize(GameParams(a=grid.min, q1=config.q1, q2=config.q2, r1=config.r1,
-                                            r2=r2, b1=config.b1, b2=config.b2, x0=config.x0)))
+            float_game(normalize(config.game(grid.min, r2)))
             double = float(r2)
         except InvalidGameError as exc:
             raise ConfigError(f"{exc} (game with r2_values entry {r2!r})") from exc
@@ -250,13 +254,13 @@ def a_points(grid: AGrid) -> list[float]:
 
 
 def _chunks(config: SweepConfig):
-    """The sweep's games in (r2, a) order, CHUNK at a time, built as they are taken."""
-    games = (
-        GameParams(a=a, q1=config.q1, q2=config.q2, r1=config.r1, r2=r2,
-                   b1=config.b1, b2=config.b2, x0=config.x0)
-        for r2 in sorted(config.r2_values)
-        for a in a_points(config.a_grid)
-    )
+    """The sweep's games in (r2, a) order, CHUNK at a time.
+
+    Each chunk is built when it is taken.  With one worker that is as the
+    rows are solved; a process pool's `map` takes every chunk, and submits
+    it, before the first result comes back.
+    """
+    games = (config.game(a, r2) for r2 in sorted(config.r2_values) for a in a_points(config.a_grid))
     while chunk := list(islice(games, CHUNK)):
         yield chunk
 

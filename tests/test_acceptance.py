@@ -186,7 +186,7 @@ def test_criterion_5_oracle_equivalence():
         assert TarskiQueries(report.game).count() == (report.n_nash, report.real_roots_total), params
         fnorm = float_game(report.game)
         solved = [renormalize_equilibrium(fnorm, (e.k1, e.k2)) for e in report.equilibria]
-        text, detail = cli._check_tarski(report.game, solved)
+        text, detail = cli._check_tarski(report, solved)
         assert detail is None and text.startswith("agree"), (params, text, detail)
 
     for _ in range(20):

@@ -109,6 +109,13 @@ class TestSolveCommand:
         assert canonical_dumps(json.loads(out)) == out
         assert json.loads(out)["delta"]["exact"] == str(solver.solve(params).delta)
 
+    def test_a_nan_residual_exits_3_naming_the_residual_gate(self, capsys):
+        code, out, err = run_cli(capsys, ["solve", "--a", "2", "--q1", "1e300", *ALL_ONES[4:]])
+        assert code == 3
+        assert out == ""
+        assert err == ("internal consistency error: candidate root 4.336808689942018e-19 "
+                       "failed residual verification (nan)\n")
+
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_prints_exact_numbers_of_any_length(self, capsys, fmt):
         # the discriminant has about 28,000 digits, past the 4,300 that

@@ -504,7 +504,7 @@ class TestTarskiQueries:
         assert TarskiQueries(report.game).count() == (report.n_nash, report.real_roots_total)
         fnorm = float_game(report.game)
         solved = [renormalize_equilibrium(fnorm, (e.k1, e.k2)) for e in report.equilibria]
-        assert _check_tarski(report.game, solved)[1] is None
+        assert _check_tarski(report, solved)[1] is None
 
     def test_a_wide_interval_is_halved_until_it_holds_one_root(self):
         # (k - 2, k + 2) holds all three real roots of the all-ones quintic

@@ -282,6 +282,17 @@ class TestSolve:
                 assert report.real_roots_total == 3
                 seen += 1
 
+    @pytest.mark.parametrize("params", [
+        GameParams(a=1, q1=1e308, q2=1e308, r1=1, r2=1),
+        GameParams(a=2, q1=Fraction(10**300), q2=1, r1=1, r2=1),
+    ], ids=["q_1e308", "q1_1e300"])
+    def test_a_nan_residual_fails_the_residual_gate(self, params):
+        # float overflow makes the residual NaN, which no comparison with
+        # the tolerance passes; the closed-loop check that caught it before
+        # named the wrong stage
+        with pytest.raises(ConsistencyError, match=r"failed residual verification \(nan\)$"):
+            solve(params)
+
     def test_multiplicity_two_reported_once(self):
         for c, k1 in ((Fraction(1, 2), Fraction(5, 8)), (Fraction(1, 3), Fraction(1))):
             params, _ = fold_game(c, k1)

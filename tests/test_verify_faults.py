@@ -1,24 +1,31 @@
 """Every way `verify` and `groebner-check` report a wrong answer: each oracle
-is replaced in `lqnash.cli` by one that errs, or `solve` by one whose pairs
+is replaced in `lqnash.cli` by one that errs, or `solve` by one whose report
 the exact count must refuse, and the command must exit 4 with the oracle's
 `DISAGREE` (or `FAIL`) line and a verdict naming it.  An oracle that can
 compare nothing prints `inconclusive` and does not fail the verdict.
 
 The all-ones game has one equilibrium, k1 = k2 = 0.355415727 (to nine
 digits), and the game at a = 3.8 has three.
+
+The solver-fault catalogue at the end plants one fault in `lqnash.solver`
+and records which check catches it on each game of the verify golden.
 """
 
+import collections
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
 import lqnash.cli as cli
+import lqnash.solver as solver
 from lqnash.cli import main
 from lqnash.exactalg import UniPoly
 from lqnash.groebner import EliminationError
 from lqnash.oracle import TarskiQueries
 from lqnash.solver import build_g
+from test_verify_golden import golden_games
 
 ALL_ONES = "--a 1 --q1 1 --q2 1 --r1 1 --r2 1".split()
 THREE_EQUILIBRIA = "--a 3.8 --q1 0.5 --q2 1 --r1 1 --r2 1".split()
@@ -72,6 +79,11 @@ class TestTarskiCount:
     def test_a_dropped_solved_pair(self, capsys, monkeypatch):
         wrap_solved(monkeypatch, lambda eqs: eqs[1:])
         assert_disagreement(capsys, THREE_EQUILIBRIA, "tarski_count", "3 equilibria vs 2 solved pairs")
+
+    def test_a_wrong_real_root_count(self, capsys, monkeypatch):
+        wrap(monkeypatch, "solve",
+             lambda report: dataclasses.replace(report, real_roots_total=report.real_roots_total + 2))
+        assert_disagreement(capsys, ALL_ONES, "tarski_count", "3 real roots vs 5 in the solve report")
 
     def test_one_pair_given_twice(self, capsys, monkeypatch):
         # each pair's interval reaches at most a third of the way to the
@@ -189,3 +201,58 @@ class TestGroebnerCheck:
         assert code == 4
         assert out == []
         assert err == "elimination failed: basis has no univariate member in k2\n"
+
+
+# ---------------------------------------------------------------------------
+# Solver faults: each replaces one name in `lqnash.solver` by a function of
+# the original, and `verify` runs on the 25 games of the verify golden.
+# ---------------------------------------------------------------------------
+
+
+def catcher(capsys, flags):
+    """What caught the fault on one game: "solve" when it raised (exit 3),
+    the oracle the verdict names (exit 4), or None when verify passed."""
+    code, out, _ = run(capsys, ["verify", *flags])
+    if code == 3:
+        return "solve"
+    if code == 4:
+        return out[-1].removeprefix("VERDICT: FAIL (").split(":")[0]
+    assert code == 0 and out[-1] == "VERDICT: PASS"
+    return None
+
+
+def c0_offset(original):
+    return lambda norm: UniPoly([c + (i == 0) * Fraction(1, 10**6)
+                                 for i, c in enumerate(original(norm).coeffs)])
+
+
+@pytest.mark.parametrize("name, fault, caught", [
+    pytest.param("best_gain", lambda best_gain: lambda *args: best_gain(*args) * (1 + 1e-6),
+                 {"solve": 25}, id="best_gain_scaled"),
+    pytest.param("build_g", c0_offset,
+                 {"solve": 8, "resultant_elimination": 17}, id="build_g_c0_offset"),
+    pytest.param("denormalize_equilibrium",
+                 lambda denormalize: lambda norm, pair: tuple(-k for k in denormalize(norm, pair)),
+                 {"tarski_count": 25}, id="denormalize_sign_flipped"),
+    # the count below 0 and the count above a are each one too many
+    pytest.param("sturm_count", lambda sturm_count: lambda *args: sturm_count(*args) + 1,
+                 {"tarski_count": 25}, id="sturm_count_plus_one"),
+])
+def test_a_solver_fault_is_caught(capsys, monkeypatch, name, fault, caught):
+    monkeypatch.setattr(solver, name, fault(getattr(solver, name)))
+    assert collections.Counter(catcher(capsys, flags) for flags in golden_games()) == caught
+
+
+@pytest.mark.xfail(strict=True, reason="no check catches this fault on every game yet")
+@pytest.mark.parametrize("name, fault", [
+    # no check reads the multiplicity
+    pytest.param("find_candidate_roots",
+                 lambda find: lambda *args: [(root, m + 1) for root, m in find(*args)],
+                 id="multiplicity_plus_one"),
+    # solve's residual gate refuses most games, but a k2 within 2^-20 of
+    # its root can lie within VERIFY_TOL of it
+    pytest.param("REFINE_WIDTH", lambda width: Fraction(1, 2**20), id="refine_width_coarsened"),
+])
+def test_an_uncaught_solver_fault(capsys, monkeypatch, name, fault):
+    monkeypatch.setattr(solver, name, fault(getattr(solver, name)))
+    assert None not in [catcher(capsys, flags) for flags in golden_games()]
