@@ -22,6 +22,7 @@ from .oracle import grid_scan  # noqa: F401
 from .game import (
     GameParams,
     InvalidGameError,
+    TrivialGame,
     cost,
     float_game,
     normalize,
@@ -54,10 +55,6 @@ EXIT_DISAGREE = 4
 
 # verify's agreement tolerance between the solver and the float oracles
 VERIFY_TOL = 1e-6
-
-
-class InputError(Exception):
-    """Input rejected before any work; `main` prints it and exits 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,20 +93,19 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def _game_from_args(args) -> GameParams:
-    """The command's validated game; only `solve` accepts the trivial game a = 0."""
+    """The command's game; raises InvalidGameError on a number that does not
+    parse, violates its domain or is too large for a double."""
     names = [field.name for field in dataclasses.fields(GameParams)]
     try:
         params = GameParams(**{name: parse_rational(getattr(args, name)) for name in names})
     except ValueError as exc:
-        raise InputError(f"invalid parameters: {exc}") from exc
+        raise InvalidGameError(str(exc)) from exc
     # documents print every parameter as a double
     for name in names:
         try:
             float(getattr(params, name))
         except OverflowError:
-            raise InputError(f"invalid parameters: {name} is too large for a double") from None
-    if params.a == 0 and args.command != "solve":
-        raise InputError(f"{args.command} does not apply to the trivial game a = 0")
+            raise InvalidGameError(f"{name} is too large for a double") from None
     return params
 
 
@@ -218,7 +214,10 @@ def _print_table(doc: dict) -> None:
 
 def cmd_solve(args) -> int:
     params = _game_from_args(args)
-    doc = trivial_document(params) if params.a == 0 else solve_document(params, solve(params))
+    try:
+        doc = solve_document(params, solve(params))
+    except TrivialGame:
+        doc = trivial_document(params)
     if args.format == "table":
         _print_table(doc)
     else:
@@ -389,8 +388,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except InputError as exc:
-        message, code = str(exc), EXIT_INVALID
+    except TrivialGame:
+        message, code = f"{args.command} does not apply to the trivial game a = 0", EXIT_INVALID
     except InvalidGameError as exc:
         message, code = f"invalid parameters: {exc}", EXIT_INVALID
     except ConfigError as exc:

@@ -195,15 +195,15 @@ class SturmSequence:
     they have the signs of the elements times that of g, so every sign
     variation count is unchanged.  Each quotient of primitive polynomials is
     primitive (Gauss's lemma).  `chain` is that primitive integer Sturm
-    chain of the square-free part `sf_ints`, which counting, isolation and
-    refinement share.  A root of multiplicity m of p is a root of
-    multiplicity m - 1 of g, so the construction repeats on g while its own
-    sequence ends in a nonconstant polynomial: `gcd_chains` holds the chains
-    of g and of each later gcd, divided the same way, and is empty when p is
-    square-free.
+    chain, which counting, isolation and refinement share; its first
+    element is the square-free part of p.  A root of multiplicity m of p
+    is a root of multiplicity m - 1 of g, so the construction repeats on g
+    while its own sequence ends in a nonconstant polynomial: `gcd_chains`
+    holds the chains of g and of each later gcd, divided the same way, and
+    is empty when p is square-free.
     """
 
-    __slots__ = ("degree", "ints", "sf_ints", "chain", "discriminant", "gcd_chains")
+    __slots__ = ("degree", "ints", "chain", "discriminant", "gcd_chains")
 
     def __init__(self, p: UniPoly):
         n = p.degree
@@ -225,7 +225,6 @@ class SturmSequence:
             chain = _signed_prs(g)[0]
         chains.append(chain)
         self.chain, *self.gcd_chains = chains
-        self.sf_ints = self.chain[0]
 
 
 def _sign_at(ints: list[int], num: int, den: int) -> int:
@@ -325,7 +324,7 @@ def isolate_roots_in_interval(seq: SturmSequence, lo: Fraction, hi: Fraction) ->
 
 def isolate_real_roots(seq: SturmSequence) -> list[RootInterval]:
     """Isolating intervals for every distinct real root, with multiplicities."""
-    bound = _cauchy_bound(seq.sf_ints)
+    bound = _cauchy_bound(seq.chain[0])
     return isolate_roots_in_interval(seq, -bound, bound)
 
 
@@ -342,7 +341,7 @@ def refine_root(seq: SturmSequence, iv: RootInterval, width: Fraction) -> Fracti
     width = Fraction(width)
     if width <= 0:
         raise ValueError(f"refine width must be positive, got {width}")
-    ints = seq.sf_ints
+    ints = seq.chain[0]
     lo, hi = Fraction(iv.lo), Fraction(iv.hi)
     s_hi = _sign_at(ints, hi.numerator, hi.denominator)
     if s_hi == 0:

@@ -142,20 +142,19 @@ def _flagged_cells(fnorm: NormalizedGame, nodes: list[float]) -> list[tuple[int,
     the rows, k2 across the columns) where both residual surfaces, evaluated
     by `residuals` at every node, straddle zero: their four corners are not
     all > 0 or all < 0.  A zero or NaN corner straddles."""
-
-    def edges(signs: list[int]) -> list[int]:
-        # the sign both ends of each cell edge along a row share, or 0
-        return [s if s == t else 0 for s, t in zip(signs, signs[1:])]
-
-    flagged = []
-    for i, k1 in enumerate(nodes):
+    # one table of signs per surface; a NaN's sign reads 0
+    surfaces = ([], [])
+    for k1 in nodes:
         rho = [residuals(fnorm, k1, k2) for k2 in nodes]
-        row = (edges([(v > 0) - (v < 0) for v, _ in rho]), edges([(v > 0) - (v < 0) for _, v in rho]))
-        if i:
-            flagged += [(i - 1, j) for j, (u1, u2, v1, v2) in enumerate(zip(*above, *row))
-                        if not (u1 and u1 == v1) and not (u2 and u2 == v2)]
-        above = row
-    return flagged
+        for m, surface in enumerate(surfaces):
+            surface.append([(v[m] > 0) - (v[m] < 0) for v in rho])
+
+    def straddles(s: list[list[int]], i: int, j: int) -> bool:
+        return not s[i][j] == s[i + 1][j] == s[i][j + 1] == s[i + 1][j + 1] != 0
+
+    n = len(nodes) - 1
+    return [(i, j) for i in range(n) for j in range(n)
+            if straddles(surfaces[0], i, j) and straddles(surfaces[1], i, j)]
 
 
 def _residual_norm(fnorm: NormalizedGame, k1: float, k2: float) -> float:

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 from lqnash.exactalg import RationalLike, SturmSequence, UniPoly
-from lqnash.game import GameParams, NormalizedGame, best_gain, closed_loop, float_game, residuals
+from lqnash.game import GameParams, NormalizedGame, best_gain, closed_loop, float_game
 from lqnash.groebner import (
     Monomial,
     monomial_div,
@@ -331,25 +331,6 @@ def _autoreduce(basis: list[dict]) -> list[dict]:
             reduced.append(_monic(r))
     reduced.sort(key=max)
     return reduced
-
-
-def flagged_cells(fnorm: NormalizedGame, nodes: list[float]) -> list[tuple[int, int]]:
-    """The grid scan's flagged cells by their definition, cell by cell: both
-    residual surfaces, evaluated by `residuals` at every node, have four
-    corners that are not all > 0 or all < 0 (a NaN corner is neither)."""
-    surfaces = ([], [])
-    for k1 in nodes:
-        rho = [residuals(fnorm, k1, k2) for k2 in nodes]
-        for m, surface in enumerate(surfaces):
-            surface.append([(v[m] > 0) - (v[m] < 0) for v in rho])
-
-    def straddles(surface, i, j):
-        corners = {surface[i][j], surface[i + 1][j], surface[i][j + 1], surface[i + 1][j + 1]}
-        return corners != {1} and corners != {-1}
-
-    n = len(nodes) - 1
-    return [(i, j) for i in range(n) for j in range(n)
-            if straddles(surfaces[0], i, j) and straddles(surfaces[1], i, j)]
 
 
 # Best-response iteration as lqnash once ran it, restated with one

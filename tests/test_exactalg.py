@@ -60,7 +60,7 @@ def _reference_refine(seq, iv, width):
     Signs come from `poly_eval` on the square-free part, not from the
     integer evaluator under test.
     """
-    sf = UniPoly(seq.sf_ints)
+    sf = UniPoly(seq.chain[0])
 
     def sign(x):
         value = poly_eval(sf, x)
@@ -285,7 +285,7 @@ class TestSturmSequence:
             if rng.random() < 0.3:
                 p = poly_mul(p, UniPoly([-2, 0, 1]))
             seq = SturmSequence(p)
-            fresh = SturmSequence(UniPoly(seq.sf_ints))
+            fresh = SturmSequence(UniPoly(seq.chain[0]))
             assert not fresh.gcd_chains and (not seq.gcd_chains) == (max(mults) == 1)
             points = [-math.inf, *roots, math.inf]
             for i, lo in enumerate(points):
