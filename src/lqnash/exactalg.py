@@ -300,10 +300,14 @@ def isolate_roots_in_interval(seq: SturmSequence, lo: Fraction, hi: Fraction) ->
 
     Each interval holds one distinct root of p.  The roots of each gcd in
     `seq.gcd_chains` are among those of the level above, so a root of
-    multiplicity m is counted in exactly the first m - 1 of them.
+    multiplicity m is counted in exactly the first m - 1 of them.  Raises
+    ValueError when lo > hi, where the root count would be negative and
+    bisection would never end.
     """
     chain = seq.chain
     lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError(f"interval bounds reversed: lo = {lo} > hi = {hi}")
     out = []
     stack = [(lo, hi, _variations(_chain_signs(chain, lo)), _variations(_chain_signs(chain, hi)))]
     while stack:

@@ -135,8 +135,11 @@ class SolveReport:
 
     Construction raises ConsistencyError unless the report obeys the
     discriminant law (one to three equilibria, exactly one when the
-    discriminant is negative, at most two when it is zero) and the quintic
-    has real roots below 0 and above a.
+    discriminant is negative, at most two when it is zero), the quintic
+    has real roots below 0 and above a, and its multiplicities can be the
+    quintic's: each is at least 1, one above 1 needs a zero discriminant,
+    and the equilibria's multiplicities and the roots outside (0, a) number
+    at most the degree.
     """
 
     g2: UniPoly
@@ -155,6 +158,14 @@ class SolveReport:
                 f"solve violates the discriminant law (sign {sign}, {n} equilibria)")
         if self.roots_below_zero < 1 or self.roots_above_a < 1:
             raise ConsistencyError("expected roots outside [0, a] on both sides")
+        multiplicities = [e.root_multiplicity for e in self.equilibria]
+        if min(multiplicities) < 1 or (self.delta != 0 and max(multiplicities) > 1):
+            raise ConsistencyError(
+                f"root multiplicities {multiplicities} impossible with discriminant sign {sign}")
+        counted = sum(multiplicities) + self.roots_below_zero + self.roots_above_a
+        if counted > self.g2.degree:
+            raise ConsistencyError(
+                f"{counted} real roots with multiplicity exceed the quintic's degree {self.g2.degree}")
 
     @property
     def n_nash(self) -> int:

@@ -1,11 +1,13 @@
 """Command-line surface: JSON/CSV/SVG emission, exit codes, determinism."""
 
 import contextlib
+import importlib.util
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -524,3 +526,17 @@ class TestMultipleRootGames:
         ivs = isolate_real_roots(SturmSequence(oracle.resultant_elimination(normalize(params))))
         assert [iv.multiplicity for iv in ivs if iv.lo < k2 <= iv.hi] == [multiplicity]
         assert [iv.multiplicity for iv in ivs] == all_multiplicities
+
+
+def test_every_benchmark_tracer_target_resolves():
+    """perfbench/tracing.py wraps functions by their dotted names in lqnash
+    and reports a name that is gone as absent; deleting or renaming one of
+    them is a benchmark change, so it must fail here first."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{attr}" for module, attr, _ in tracing.TARGETS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+    assert tracing.CAPTURE <= {(module, attr) for module, attr, _ in tracing.TARGETS}

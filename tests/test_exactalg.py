@@ -328,6 +328,13 @@ class TestIsolation:
             for prev, nxt in zip(ivs, ivs[1:]):
                 assert prev.hi <= nxt.lo
 
+    def test_reversed_bounds_are_rejected(self):
+        # (2, -2] would count -2 roots of x^2 - 2, and bisection would never end
+        seq = SturmSequence(UniPoly([-2, 0, 1]))
+        with pytest.raises(ValueError, match="reversed"):
+            isolate_roots_in_interval(seq, 2, -2)
+        assert isolate_roots_in_interval(seq, 1, 1) == []
+
 
 class TestRefine:
     def test_unit_root(self):

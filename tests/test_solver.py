@@ -326,6 +326,20 @@ class TestReport:
         with pytest.raises(ConsistencyError, match="expected roots outside"):
             dataclasses.replace(solve(ALL_ONES), **{side: 0})
 
+    @pytest.mark.parametrize("game, multiplicity, message", [
+        (ALL_ONES, 0, r"^root multiplicities \[0\] impossible with discriminant sign -1$"),
+        # a multiple root makes the discriminant zero
+        (ALL_ONES, 2, r"^root multiplicities \[2\] impossible with discriminant sign -1$"),
+        # the pitchfork's triple root and one real root on each side fill the degree
+        (pitchfork_game(Fraction(3, 4))[0], 4,
+         r"^6 real roots with multiplicity exceed the quintic's degree 5$"),
+    ], ids=["zero", "double_at_nonzero_delta", "past_the_degree"])
+    def test_reports_with_impossible_multiplicities_are_refused(self, game, multiplicity, message):
+        report = solve(game)
+        (eq,) = report.equilibria
+        with pytest.raises(ConsistencyError, match=message):
+            dataclasses.replace(report, equilibria=(dataclasses.replace(eq, root_multiplicity=multiplicity),))
+
     def test_carries_the_exact_game_it_solved(self):
         params = GameParams(a=-1.5, q1=1, q2=Fraction(1, 3), r1=2, r2=1, b1=3)
         assert solve(params).game == normalize(params)

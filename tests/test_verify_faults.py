@@ -234,9 +234,15 @@ def c0_offset(original):
     pytest.param("denormalize_equilibrium",
                  lambda denormalize: lambda norm, pair: tuple(-k for k in denormalize(norm, pair)),
                  {"tarski_count": 25}, id="denormalize_sign_flipped"),
-    # the count below 0 and the count above a are each one too many
+    # the count below 0 and the count above a are each one too many; solve
+    # refuses the games whose roots then outnumber the quintic's degree
     pytest.param("sturm_count", lambda sturm_count: lambda *args: sturm_count(*args) + 1,
-                 {"tarski_count": 25}, id="sturm_count_plus_one"),
+                 {"tarski_count": 14, "solve": 11}, id="sturm_count_plus_one"),
+    # a simple root needs a zero discriminant to be multiple, and a multiple
+    # one leaves no room in the degree for one more
+    pytest.param("find_candidate_roots",
+                 lambda find: lambda *args: [(root, m + 1) for root, m in find(*args)],
+                 {"solve": 25}, id="multiplicity_plus_one"),
 ])
 def test_a_solver_fault_is_caught(capsys, monkeypatch, name, fault, caught):
     monkeypatch.setattr(solver, name, fault(getattr(solver, name)))
@@ -245,10 +251,6 @@ def test_a_solver_fault_is_caught(capsys, monkeypatch, name, fault, caught):
 
 @pytest.mark.xfail(strict=True, reason="no check catches this fault on every game yet")
 @pytest.mark.parametrize("name, fault", [
-    # no check reads the multiplicity
-    pytest.param("find_candidate_roots",
-                 lambda find: lambda *args: [(root, m + 1) for root, m in find(*args)],
-                 id="multiplicity_plus_one"),
     # solve's residual gate refuses most games, but a k2 within 2^-20 of
     # its root can lie within VERIFY_TOL of it
     pytest.param("REFINE_WIDTH", lambda width: Fraction(1, 2**20), id="refine_width_coarsened"),
