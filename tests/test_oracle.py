@@ -335,6 +335,21 @@ class TestFlaggedCells:
             tables = [t1, t2]
             assert _flagged_cells(None, [0.0, 1.0]) == ([(0, 0)] if flagged else []), (t1, t2)
 
+    @pytest.mark.parametrize("n", [16, 100, 512, 700])
+    def test_swapping_the_players_transposes_the_flags(self, n):
+        # k1 indexes the rows and k2 the columns; swapping the players swaps
+        # both the surfaces and the axes, bit for bit
+        rng = random.Random(27)
+        games = small_rational_games(28, 1) + [random_float_game(rng), HUGE_RESIDUAL_GAME,
+                                               GameParams(a=3.8, q1=0.5, q2=1, r1=1, r2=1)]
+        for params in games:
+            swapped = GameParams(a=params.a, q1=params.q2, q2=params.q1, r1=params.r2, r2=params.r1)
+            fnorm, fswap = float_game(normalize(params)), float_game(normalize(swapped))
+            nodes = grid_nodes(fnorm, n)
+            flagged = _flagged_cells(fnorm, nodes)
+            assert flagged, params
+            assert _flagged_cells(fswap, nodes) == sorted((j, i) for i, j in flagged), params
+
     def test_each_node_evaluated_once(self, monkeypatch):
         calls, values = [], []
 
